@@ -203,7 +203,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   table.print();
-  std::printf("\nNote: single-core host; all roles timeshare one CPU, so these are\n"
-              "lower bounds on what the protocol code sustains per core.\n");
+  std::printf("\nNote: every role runs in this one process on %u hardware threads, so\n"
+              "these are lower bounds on what the protocol code sustains per core.\n",
+              std::thread::hardware_concurrency());
   return 0;
 }

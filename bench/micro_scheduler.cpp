@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -265,6 +266,50 @@ InsertMeasurement measure_graph_insert(ConflictMode mode, IndexMode index,
   return m;
 }
 
+/// One sentinel-pinned timed delivery run.
+struct TimedDelivery {
+  double seconds = 0.0;         // the timed deliver() loop
+  psmr::obs::Snapshot before;   // after the sentinels, before the timed loop
+  psmr::obs::Snapshot after;    // post-drain: every batch has run
+
+  double kcmds_per_sec(std::size_t commands) const {
+    return static_cast<double>(commands) / seconds / 1000.0;
+  }
+};
+
+/// The timed delivery loop of every throughput row. The executor parks each
+/// sentinel batch (sequences 1..pinned.size()) on a flag, so every worker
+/// holds one and the measured batches accumulate in the scheduler while the
+/// delivery thread is timed; then the sentinels are released and
+/// everything drains. Batches are pre-built so no client-side digest or
+/// stamping cost pollutes the timing.
+template <typename S>
+TimedDelivery timed_delivery(psmr::core::SchedulerOptions opts,
+                             std::vector<psmr::smr::BatchPtr> pinned,
+                             std::vector<psmr::smr::BatchPtr> batches) {
+  std::atomic<bool> release{false};
+  const std::uint64_t n_sentinels = pinned.size();
+  S scheduler(std::move(opts), [&release, n_sentinels](const psmr::smr::Batch& b) {
+    if (b.sequence() <= n_sentinels) {
+      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+    }
+  });
+  scheduler.start();
+  for (auto& b : pinned) scheduler.deliver(std::move(b));
+  // Let every worker take its sentinel before the timed window.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  TimedDelivery r;
+  r.before = scheduler.stats();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto& b : batches) scheduler.deliver(std::move(b));
+  r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  release.store(true, std::memory_order_release);
+  scheduler.wait_idle();
+  r.after = scheduler.stats();
+  scheduler.stop();
+  return r;
+}
+
 struct ThroughputMeasurement {
   double delivery_kcmds_per_sec = 0.0;
   double pair_tests_per_insert = 0.0;
@@ -273,13 +318,10 @@ struct ThroughputMeasurement {
   psmr::obs::Snapshot final_metrics;
 };
 
-/// Delivery throughput through the real threaded Scheduler in the ISSUE's
-/// acceptance regime — low conflict, LARGE pending graph. The workers are
-/// pinned on sentinel batches (executor spins on a flag) so the
-/// conflict-free measurement batches accumulate in the graph while the
-/// delivery thread is timed: the scan pays O(resident) pair tests per
-/// insert, the index pays one aggregate probe. Batches are pre-built so no
-/// client-side digest cost pollutes the timing.
+/// Delivery throughput through the real threaded Scheduler in the
+/// low-conflict, LARGE-pending-graph regime: the conflict-free measurement
+/// batches accumulate behind the pinned workers, so the scan pays
+/// O(resident) pair tests per insert and the index one aggregate probe.
 ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, IndexMode index,
                                                    unsigned workers,
                                                    std::size_t batch_size,
@@ -303,43 +345,18 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, IndexMode 
                                  use_bitmap ? &bitmap : nullptr));
   }
 
-  std::atomic<bool> release{false};
-  psmr::core::Scheduler scheduler(
-      psmr::core::SchedulerOptions{.workers = workers,
-                                   .mode = mode,
-                                   .index = index,
-                                   .max_pending_batches = 0},
-      [&release, workers](const psmr::smr::Batch& b) {
-        if (b.sequence() <= workers) {
-          while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-        }
-      });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  // Let every worker take its sentinel before the timed window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto tests0 = scheduler.stats().counter("scheduler.insert.pair_tests");
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  const psmr::obs::Snapshot st = scheduler.stats();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  scheduler.stop();
+  const TimedDelivery run = timed_delivery<psmr::core::Scheduler>(
+      psmr::core::SchedulerOptions{.workers = workers, .mode = mode, .index = index},
+      std::move(pinned), std::move(batches));
 
   ThroughputMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
+  m.delivery_kcmds_per_sec = run.kcmds_per_sec(n_batches * batch_size);
   m.pair_tests_per_insert =
-      static_cast<double>(st.counter("scheduler.insert.pair_tests") - tests0) /
+      static_cast<double>(run.after.counter("scheduler.insert.pair_tests") -
+                          run.before.counter("scheduler.insert.pair_tests")) /
       static_cast<double>(n_batches);
-  m.avg_graph_size = st.gauge("graph.size_at_insert.avg");
-  // Post-drain snapshot: every batch has run, so the lifecycle counters and
-  // the queue-wait histogram are complete.
-  m.final_metrics = scheduler.stats();
+  m.avg_graph_size = run.after.gauge("graph.size_at_insert.avg");
+  m.final_metrics = run.after;
   return m;
 }
 
@@ -357,17 +374,12 @@ struct ShardedMeasurement {
 /// per-shard sentinel batches while the delivery loop is timed, exactly
 /// like measure_scheduler_throughput; S=1 is the single-scheduler baseline.
 /// `cross_fraction` makes every (1/f)-th batch span two shards, paying the
-/// deterministic gate; `word_gate` picks the packed-atomic-word rendezvous
-/// for 2-shard gates vs the mutex/cv slow path (ISSUE 7 satellite: the
-/// before/after rows isolate the gate's synchronization cost).
+/// deterministic rendezvous gate.
 ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_workers,
                                               std::size_t batch_size,
                                               std::size_t n_batches,
-                                              double cross_fraction,
-                                              bool word_gate) {
+                                              double cross_fraction) {
   const unsigned per_shard_workers = std::max(1u, total_workers / shards);
-  const std::uint64_t n_sentinels =
-      static_cast<std::uint64_t>(shards) * per_shard_workers;
 
   // Partition-friendly key source: walk the key space and keep the keys
   // hashing into the requested shard (~S probes per key). Every key is
@@ -389,7 +401,8 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->build_shard_mask(shards);  // stamped at formation time, as the proxy does
+    // Stamped at formation time, as the proxy does.
+    b->stamp(psmr::smr::PlacementMaps{shards, nullptr});
     return b;
   };
 
@@ -416,55 +429,29 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
     }
   }
 
-  std::atomic<bool> release{false};
   psmr::core::SchedulerOptions sopts;
   sopts.workers = per_shard_workers;
   sopts.shards = shards;
   sopts.mode = ConflictMode::kKeysNested;
   sopts.index = IndexMode::kScan;
-  sopts.gate_word_fast_path = word_gate;
-  psmr::core::ShardedScheduler scheduler(
-      std::move(sopts),
-      [&release, n_sentinels](const psmr::smr::Batch& b) {
-        if (b.sequence() <= n_sentinels) {
-          while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-        }
-      });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  // Let every shard's workers take their sentinels before the timed window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  const psmr::obs::Snapshot st = scheduler.stats();
-  scheduler.stop();
+  const TimedDelivery run = timed_delivery<psmr::core::ShardedScheduler>(
+      std::move(sopts), std::move(pinned), std::move(batches));
 
   ShardedMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
-  m.cross_fraction = st.gauge("scheduler.cross_shard_fraction");
-  m.final_metrics = st;
+  m.delivery_kcmds_per_sec = run.kcmds_per_sec(n_batches * batch_size);
+  m.cross_fraction = run.after.gauge("scheduler.cross_shard_fraction");
+  m.final_metrics = run.after;
   return m;
 }
 
 /// The shard sweep's resolved configuration — one source of truth for the
 /// measurement loop AND the `--shards` JSON header, so the header always
-/// names exactly what ran. The two cross=0.05 rows are the word-gate
-/// before/after pair: same workload, mutex/cv rendezvous vs the packed
-/// atomic-word futex gate.
+/// names exactly what ran.
 struct ShardRow {
   unsigned shards;
   double cross;
-  bool word_gate;
 };
-constexpr ShardRow kShardRows[] = {
-    {1, 0.0, true}, {2, 0.0, true}, {4, 0.0, true}, {4, 0.05, false}, {4, 0.05, true}};
+constexpr ShardRow kShardRows[] = {{1, 0.0}, {2, 0.0}, {4, 0.0}, {4, 0.05}};
 constexpr unsigned kShardTotalWorkers = 4;
 
 /// The shard-scaling rows (ISSUE 5 acceptance: >= 1.5x delivery throughput
@@ -477,24 +464,22 @@ void write_sharded_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) 
   double baseline = 0.0;
   bool first = true;
   for (const ShardRow& r : kShardRows) {
-    const ShardedMeasurement m = measure_sharded_throughput(
-        r.shards, kShardTotalWorkers, batch_size, n, r.cross, r.word_gate);
+    const ShardedMeasurement m =
+        measure_sharded_throughput(r.shards, kShardTotalWorkers, batch_size, n, r.cross);
     if (r.shards == 1) baseline = m.delivery_kcmds_per_sec;
     const double speedup = baseline > 0.0 ? m.delivery_kcmds_per_sec / baseline : 0.0;
     std::fprintf(f,
                  "%s    {\"mode\": \"keys-nested\", \"index\": \"scan\", \"shards\": %u, "
                  "\"workers_per_shard\": %u, \"batch_size\": %zu, \"batches\": %zu, "
-                 "\"cross_shard_fraction\": %.3f, \"cross_gate\": \"%s\", "
+                 "\"cross_shard_fraction\": %.3f, "
                  "\"delivery_kcmds_per_sec\": %.1f, \"speedup_vs_single\": %.2f}",
                  first ? "" : ",\n", r.shards,
                  std::max(1u, kShardTotalWorkers / r.shards), batch_size, n,
-                 m.cross_fraction, r.word_gate ? "word" : "mutex",
-                 m.delivery_kcmds_per_sec, speedup);
+                 m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
     first = false;
-    std::printf("sharded      shards=%u cross=%.2f gate=%-5s: %10.1f kCmds/s "
+    std::printf("sharded      shards=%u cross=%.2f: %10.1f kCmds/s "
                 "delivery, %.2fx vs single\n",
-                r.shards, m.cross_fraction, r.word_gate ? "word" : "mutex",
-                m.delivery_kcmds_per_sec, speedup);
+                r.shards, m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
     if (last_metrics != nullptr) *last_metrics = m.final_metrics;
   }
 }
@@ -505,6 +490,21 @@ struct EarlyMeasurement {
   double multi_class_fraction = 0.0;
   psmr::obs::Snapshot final_metrics;
 };
+
+/// Reads the early.* path fractions off a run (0 for the graph Scheduler,
+/// which exports none).
+EarlyMeasurement early_measurement(const TimedDelivery& run, std::size_t commands) {
+  EarlyMeasurement m;
+  m.delivery_kcmds_per_sec = run.kcmds_per_sec(commands);
+  m.fast_path_fraction = run.after.gauge("early.fast_path_fraction");
+  const auto delivered = run.after.counter("scheduler.batches_delivered");
+  m.multi_class_fraction =
+      delivered != 0 ? static_cast<double>(run.after.counter("early.batches_multi_class")) /
+                           static_cast<double>(delivered)
+                     : 0.0;
+  m.final_metrics = run.after;
+  return m;
+}
 
 /// Contiguous-range class map with one class per worker: class c owns
 /// [c*2^40, (c+1)*2^40), and worker_of_class is the identity. This is the
@@ -543,7 +543,8 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->build_class_mask(*map);  // stamped at formation time, as the proxy does
+    // Stamped at formation time, as the proxy does.
+    b->stamp(psmr::smr::PlacementMaps{0, map});
     return b;
   };
 
@@ -558,43 +559,14 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
     batches.push_back(make_class_batch(++seq, static_cast<unsigned>(i % workers)));
   }
 
-  std::atomic<bool> release{false};
   psmr::core::SchedulerOptions opts;
   opts.workers = workers;
   opts.mode = ConflictMode::kKeysNested;
   opts.index = IndexMode::kIndexed;
   opts.class_map = map;  // the graph Scheduler ignores it
-  S scheduler(std::move(opts), [&release, workers](const psmr::smr::Batch& b) {
-    if (b.sequence() <= workers) {
-      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-  });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  // Let every worker take its sentinel before the timed window.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  const psmr::obs::Snapshot st = scheduler.stats();
-  scheduler.stop();
-
-  EarlyMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
-  m.fast_path_fraction = st.gauge("early.fast_path_fraction");
-  const auto delivered = st.counter("scheduler.batches_delivered");
-  m.multi_class_fraction =
-      delivered != 0 ? static_cast<double>(st.counter("early.batches_multi_class")) /
-                           static_cast<double>(delivered)
-                     : 0.0;
-  m.final_metrics = st;
-  return m;
+  const TimedDelivery run = timed_delivery<S>(std::move(opts), std::move(pinned),
+                                              std::move(batches));
+  return early_measurement(run, n_batches * batch_size);
 }
 
 /// The early-scheduler rows (ISSUE 7 acceptance: >= 2x delivery throughput
@@ -662,7 +634,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->build_class_mask(*map);
+    b->stamp(psmr::smr::PlacementMaps{0, map});
     return b;
   };
 
@@ -675,49 +647,21 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     cmds[0].key = w * span;
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(++seq);
-    b->build_class_mask(*map);
+    b->stamp(psmr::smr::PlacementMaps{0, map});
     pinned.push_back(std::move(b));
   }
   std::vector<psmr::smr::BatchPtr> batches;
   batches.reserve(n_batches);
   for (std::size_t i = 0; i < n_batches; ++i) batches.push_back(make_zipf_batch(++seq));
 
-  std::atomic<bool> release{false};
   psmr::core::SchedulerOptions opts;
   opts.workers = workers;
   opts.mode = ConflictMode::kKeysNested;
   opts.index = IndexMode::kIndexed;
   opts.class_map = map;
-  S scheduler(std::move(opts), [&release, workers](const psmr::smr::Batch& b) {
-    if (b.sequence() <= workers) {
-      while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-    }
-  });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : batches) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  const psmr::obs::Snapshot st = scheduler.stats();
-  scheduler.stop();
-
-  EarlyMeasurement m;
-  m.delivery_kcmds_per_sec =
-      static_cast<double>(n_batches * batch_size) / secs / 1000.0;
-  m.fast_path_fraction = st.gauge("early.fast_path_fraction");
-  const auto delivered = st.counter("scheduler.batches_delivered");
-  m.multi_class_fraction =
-      delivered != 0 ? static_cast<double>(st.counter("early.batches_multi_class")) /
-                           static_cast<double>(delivered)
-                     : 0.0;
-  m.final_metrics = st;
-  return m;
+  const TimedDelivery run = timed_delivery<S>(std::move(opts), std::move(pinned),
+                                              std::move(batches));
+  return early_measurement(run, n_batches * batch_size);
 }
 
 /// The `--zipf-theta` sweep rows: early vs indexed-graph delivery under
@@ -753,13 +697,31 @@ void write_zipf_rows(FILE* f, bool smoke, double extra_theta) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared bench-file scaffolding for the single-mode entry points (--shards,
-// --early, --zipf-theta, --checkpoints, --former). Every mode opens its file
-// with the same resolved-configuration header — bench name, smoke flag,
-// optional schema tag, and a "config" object naming exactly what runs — so
-// headers are printed by ONE function and cannot drift from the measurement
-// loops. The psmr.metrics.v1 export is likewise written by one helper.
+// Shared bench-file scaffolding for every mode (--json, --shards, --early,
+// --zipf-theta, --checkpoints, --former). Every file opens with the same
+// header — bench name, optional schema tag, smoke flag, the host that
+// measured it, and a "config" object naming exactly what runs — so headers
+// are printed by ONE function and cannot drift from the measurement loops.
+// The psmr.metrics.v1 export is likewise written by one helper.
 // ---------------------------------------------------------------------------
+
+#ifndef PSMR_BUILD_TYPE
+#define PSMR_BUILD_TYPE "unknown"
+#endif
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) {
+        return line.substr(line.find_first_not_of(' ', colon + 1));
+      }
+    }
+  }
+  return "unknown";
+}
 
 FILE* open_bench_file(const char* path, const char* bench, bool smoke,
                       const char* schema, const std::string& config_json) {
@@ -771,6 +733,8 @@ FILE* open_bench_file(const char* path, const char* bench, bool smoke,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
   if (schema != nullptr) std::fprintf(f, "  \"schema\": \"%s\",\n", schema);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(f, "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\", \"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), cpu_model().c_str(), PSMR_BUILD_TYPE);
   if (!config_json.empty()) {
     std::fprintf(f, "  \"config\": %s,\n", config_json.c_str());
   }
@@ -887,35 +851,16 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
     stream.push_back(std::move(p));
   }
 
-  std::atomic<bool> release{false};
   psmr::core::SchedulerOptions opts;
   opts.workers = kFormationWorkers;
   opts.mode = ConflictMode::kKeysNested;
   opts.index = IndexMode::kIndexed;
   opts.class_map = map;
   opts.metrics = registry;  // former.* + scheduler.* + early.* in one export
-  psmr::core::EarlyScheduler scheduler(
-      std::move(opts), [&release](const psmr::smr::Batch& b) {
-        if (b.sequence() <= kFormationWorkers) {
-          while (!release.load(std::memory_order_acquire)) {
-            std::this_thread::yield();
-          }
-        }
-      });
-  scheduler.start();
-  for (auto& b : pinned) scheduler.deliver(std::move(b));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (auto& b : stream) scheduler.deliver(std::move(b));
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  release.store(true, std::memory_order_release);
-  scheduler.wait_idle();
-  m.final_metrics = scheduler.stats();
-  scheduler.stop();
-  m.delivery_kcmds_per_sec = static_cast<double>(n_commands) / secs / 1000.0;
+  const TimedDelivery run = timed_delivery<psmr::core::EarlyScheduler>(
+      std::move(opts), std::move(pinned), std::move(stream));
+  m.delivery_kcmds_per_sec = run.kcmds_per_sec(n_commands);
+  m.final_metrics = run.after;
   return m;
 }
 
@@ -1138,8 +1083,8 @@ int checkpoints_main(bool smoke, const char* metrics_path) {
 /// BENCH_scheduler_shards.json (+ the sharded run's psmr.metrics.v1 export
 /// for the schema fixture).
 int shards_main(bool smoke, const char* metrics_path) {
-  // Resolved configuration header (ISSUE 7 satellite): what actually runs,
-  // derived from the same row table the measurement loop iterates.
+  // Resolved configuration header: what actually runs, derived from the
+  // same row table the measurement loop iterates.
   std::string config;
   {
     char buf[160];
@@ -1152,10 +1097,9 @@ int shards_main(bool smoke, const char* metrics_path) {
       const ShardRow& r = kShardRows[i];
       std::snprintf(buf, sizeof(buf),
                     "%s{\"shards\": %u, \"workers_per_shard\": %u, "
-                    "\"cross_shard_fraction\": %.3f, \"cross_gate\": \"%s\"}",
+                    "\"cross_shard_fraction\": %.3f}",
                     i == 0 ? "" : ", ", r.shards,
-                    std::max(1u, kShardTotalWorkers / r.shards), r.cross,
-                    r.word_gate ? "word" : "mutex");
+                    std::max(1u, kShardTotalWorkers / r.shards), r.cross);
       config += buf;
     }
     config += "]}";

@@ -36,6 +36,11 @@ Ballot Acceptor::promised() const {
   return promised_;
 }
 
+void Acceptor::truncate_below(InstanceId instance) {
+  std::lock_guard lk(mu_);
+  accepted_.erase(accepted_.begin(), accepted_.lower_bound(instance));
+}
+
 std::size_t Acceptor::accepted_count() const {
   std::lock_guard lk(mu_);
   return accepted_.size();

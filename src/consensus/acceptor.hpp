@@ -2,7 +2,8 @@
 //
 // Classic single-promised-ballot acceptor generalized over the instance log
 // (Multi-Paxos): one `promised` ballot guards every instance; per-instance
-// accepted (vballot, value) pairs are retained for Phase 1 recovery. The
+// accepted (vballot, value) pairs are retained for Phase 1 recovery until
+// the log is truncated below a decided horizon (truncate_below). The
 // acceptor is passive — it only ever replies to Prepare/Accept — so crash
 // simulation is just stopping its thread (or isolating it at the network).
 //
@@ -38,6 +39,11 @@ class Acceptor {
 
   void start();
   void stop();
+
+  /// Log GC: drops accepted entries below `instance`. Safe once those
+  /// instances are decided and every proposer runs Phase 1 from at least
+  /// `instance` (Proposer::truncate_decided_below).
+  void truncate_below(InstanceId instance);
 
   /// Diagnostics / tests.
   Ballot promised() const;

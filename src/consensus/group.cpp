@@ -167,6 +167,7 @@ void PaxosGroup::truncate_log_below(InstanceId horizon) {
   for (const auto& proposer : proposer_roles_) {
     proposer->truncate_decided_below(horizon);
   }
+  for (const auto& acceptor : acceptor_roles_) acceptor->truncate_below(horizon);
 }
 
 void PaxosGroup::broadcast(Value payload) {

@@ -116,12 +116,18 @@ class PaxosGroup final : public AtomicBroadcast {
   /// snapshots for state transfer (everything below is included).
   InstanceId learner_next_instance(std::size_t index) const;
 
-  /// Log GC across all proposers: drops retained decided values below the
-  /// minimum of `horizon` and every current learner's delivery point.
-  /// Call after a snapshot covering [1, horizon) is durable; replicas
-  /// recovering later must use snapshot + suffix (add_learner with
-  /// from_instance >= horizon).
+  /// Log GC across all proposers and acceptors: drops retained decided
+  /// values and accepted entries below the minimum of `horizon` and every
+  /// current learner's delivery point; later leaders run Phase 1 from
+  /// there. Call after a snapshot covering [1, horizon) is durable;
+  /// replicas recovering later must use snapshot + suffix (add_learner
+  /// with from_instance >= horizon).
   void truncate_log_below(InstanceId horizon);
+
+  /// Accepted entries acceptor `index` retains (diagnostics/GC tests).
+  std::size_t acceptor_accepted_count(unsigned index) const {
+    return acceptor_roles_.at(index)->accepted_count();
+  }
 
   // ---- fault injection (tests, examples, chaos schedules) ----
   /// Crashes an acceptor (stops its thread and silences its links).

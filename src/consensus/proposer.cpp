@@ -40,7 +40,11 @@ std::uint64_t Proposer::decided_count() const {
 
 void Proposer::truncate_decided_below(InstanceId instance) {
   std::lock_guard lk(mu_);
+  horizon_ = std::max(horizon_, instance);
+  next_instance_ = std::max(next_instance_, horizon_);
   decided_.erase(decided_.begin(), decided_.lower_bound(instance));
+  // Anything still in flight below the horizon was decided elsewhere.
+  in_flight_.erase(in_flight_.begin(), in_flight_.lower_bound(instance));
   // decided_by_id_ entries pointing below the horizon can no longer serve
   // client-ack resends; drop them too so memory stays bounded.
   for (auto it = decided_by_id_.begin(); it != decided_by_id_.end();) {
@@ -138,7 +142,7 @@ void Proposer::become_candidate() {
   recovered_.clear();
   last_prepare_send_ = Clock::now();
   for (net::ProcessId a : config_.acceptors) {
-    network_.send(endpoint_->id(), a, Prepare{ballot_, 1});
+    network_.send(endpoint_->id(), a, Prepare{ballot_, horizon_});
   }
 }
 
@@ -163,7 +167,7 @@ void Proposer::become_leader() {
   // Re-propose every recovered value under our ballot (Phase 1 rule), and
   // learn their request ids for dedup.
   for (const auto& [instance, entry] : recovered_) {
-    if (decided_.contains(instance)) continue;
+    if (instance < horizon_ || decided_.contains(instance)) continue;
     std::uint64_t request_id = 0;
     if (peek_request_id(entry.value, request_id)) {
       proposed_or_decided_.insert(request_id);
@@ -183,7 +187,7 @@ void Proposer::become_leader() {
   // is accepted by a majority, which intersects our promise quorum — so
   // writing a no-op there is safe and unblocks in-order delivery.
   static const Value kNoop = wrap_request(0, nullptr);
-  for (InstanceId i = 1; i < next_instance_; ++i) {
+  for (InstanceId i = horizon_; i < next_instance_; ++i) {
     if (decided_.contains(i) || in_flight_.contains(i)) continue;
     auto& flight = in_flight_[i];
     flight.wire = kNoop;

@@ -72,6 +72,9 @@ class Proposer {
   /// every learner has delivered past that point (e.g. after a snapshot is
   /// durable); learners that later ask for truncated instances cannot be
   /// served from this proposer and must recover via snapshot instead.
+  /// `instance` becomes the log horizon: Phase 1, the no-op hole fill and
+  /// recovered re-proposals all start there, so a later leadership never
+  /// re-proposes a truncated (already decided) instance.
   void truncate_decided_below(InstanceId instance);
 
   /// Number of decided values currently retained (diagnostics/GC tests).
@@ -124,6 +127,7 @@ class Proposer {
   };
   std::map<InstanceId, InFlight> in_flight_;
   std::map<InstanceId, Value> decided_;  // retained for learner catch-up
+  InstanceId horizon_ = 1;  // everything below is decided and truncated
   InstanceId next_instance_ = 1;
 
   std::unordered_map<std::uint64_t, Value> pending_requests_;  // id -> wire

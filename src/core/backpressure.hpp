@@ -1,19 +1,27 @@
-// Shared watermark/backpressure instrumentation for the delivery queues of
-// all four scheduler variants (DESIGN.md §14). Each variant owns one meter
-// (the ShardedScheduler's per-shard engines each own their own; they merge
-// under shard.N.backpressure.* like every other per-shard family).
+// Backpressure admission and watermark instrumentation for the delivery
+// queues of all four scheduler variants (DESIGN.md §14). Each variant owns
+// one meter (the ShardedScheduler's per-shard engines each own their own;
+// they merge under shard.N.backpressure.* like every other per-shard
+// family). The mode policy — kReject / kBlockWithDeadline / kBlock and its
+// wait/reject/deadline metering — lives in admit(); a variant supplies only
+// its room predicate and how it waits.
 //
-// Thread-safety: update() and the wait/reject counters are called only from
-// the single delivery thread of the owning scheduler, which is the contract
-// everywhere deliver() already lives. The gauges/counters themselves are
-// registry handles and safe to snapshot concurrently.
+// Thread-safety: admit() and update() are called under the owning variant's
+// guard or from its single delivery thread. The gauges/counters themselves
+// are registry handles and safe to snapshot concurrently.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 
+#include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
+#include "util/time.hpp"
 
 namespace psmr::core {
 
@@ -21,9 +29,10 @@ class BackpressureMeter {
  public:
   // All metrics are registered eagerly so they appear (at zero) in every
   // snapshot — tools/check_metrics_json.py --require depends on that.
-  BackpressureMeter(obs::MetricsRegistry& registry, std::size_t capacity,
-                    double high_fraction, double low_fraction)
-      : waits_(registry.counter("backpressure.waits")),
+  BackpressureMeter(obs::MetricsRegistry& registry, const SchedulerOptions& options)
+      : mode_(options.backpressure),
+        deadline_(options.backpressure_deadline),
+        waits_(registry.counter("backpressure.waits")),
         rejects_(registry.counter("backpressure.rejects")),
         deadline_expired_(registry.counter("backpressure.deadline_expired")),
         crossings_(registry.counter("backpressure.high_watermark_crossings")),
@@ -33,13 +42,15 @@ class BackpressureMeter {
         high_gauge_(registry.gauge("backpressure.high_watermark")),
         low_gauge_(registry.gauge("backpressure.low_watermark")),
         above_high_(registry.gauge("backpressure.above_high")) {
+    const std::size_t capacity = options.max_pending_batches;
     capacity_gauge_.set(static_cast<double>(capacity));
     if (capacity != 0) {
       high_mark_ = std::max<std::size_t>(
-          1, static_cast<std::size_t>(static_cast<double>(capacity) * high_fraction));
+          1, static_cast<std::size_t>(static_cast<double>(capacity) *
+                                      options.high_watermark));
       low_mark_ = std::min(
-          high_mark_ - 1,
-          static_cast<std::size_t>(static_cast<double>(capacity) * low_fraction));
+          high_mark_ - 1, static_cast<std::size_t>(static_cast<double>(capacity) *
+                                                   options.low_watermark));
     }
     high_gauge_.set(static_cast<double>(high_mark_));
     low_gauge_.set(static_cast<double>(low_mark_));
@@ -63,14 +74,42 @@ class BackpressureMeter {
     }
   }
 
-  void count_wait(std::uint64_t wait_ns) {
+  /// Runs the configured backpressure mode for one batch. `have()` says
+  /// whether the queue has room (a variant may also return true on stop and
+  /// check for it afterwards); `wait(limit)` parks until have() holds or
+  /// the optional limit passes, and returns have(). Returns whether the
+  /// caller may insert: false on kReject while full, or when the
+  /// kBlockWithDeadline wait expired.
+  template <typename Have, typename Wait>
+  bool admit(Have&& have, Wait&& wait) {
+    if (have()) return true;
+    if (mode_ == BackpressureMode::kReject) {
+      rejects_.add(1);
+      return false;
+    }
+    const std::uint64_t t0 = util::now_ns();
+    const bool got = wait(mode_ == BackpressureMode::kBlockWithDeadline
+                              ? std::optional<std::chrono::milliseconds>(deadline_)
+                              : std::nullopt);
     waits_.add(1);
-    wait_ns_.record(wait_ns);
+    wait_ns_.record(util::now_ns() - t0);
+    if (!got) deadline_expired_.add(1);
+    return got;
   }
-  void count_reject() { rejects_.add(1); }
-  void count_deadline_expired() { deadline_expired_.add(1); }
+
+  /// admit() for a variant that parks on a condition variable under `lk`.
+  template <typename Have>
+  bool admit(std::unique_lock<std::mutex>& lk, std::condition_variable& cv, Have&& have) {
+    return admit(have, [&](std::optional<std::chrono::milliseconds> limit) {
+      if (limit) return cv.wait_for(lk, *limit, have);
+      cv.wait(lk, have);
+      return true;
+    });
+  }
 
  private:
+  BackpressureMode mode_;
+  std::chrono::milliseconds deadline_;
   obs::Counter& waits_;
   obs::Counter& rejects_;
   obs::Counter& deadline_expired_;

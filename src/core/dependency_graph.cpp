@@ -402,4 +402,35 @@ void DependencyGraph::check_invariants() const {
   }
 }
 
+void GraphStatsPublisher::publish(obs::MetricsRegistry& registry,
+                                  const DependencyGraph& graph,
+                                  const obs::BatchTracer& tracer) {
+  const auto add_delta = [&](const char* name, std::uint64_t current,
+                             std::uint64_t& published) {
+    PSMR_DCHECK(current >= published);
+    registry.counter(name).add(current - published);
+    published = current;
+  };
+  const ConflictStats& cs = graph.conflict_stats();
+  add_delta("scheduler.insert.pair_tests", cs.tests, published_.pair_tests);
+  add_delta("scheduler.insert.comparisons", cs.comparisons, published_.comparisons);
+  add_delta("scheduler.insert.conflicts_found", cs.conflicts_found,
+            published_.conflicts_found);
+  const DependencyGraph::IndexStats& is = graph.index_stats();
+  add_delta("graph.index.probes", is.probes, published_.index_probes);
+  add_delta("graph.index.fast_path_skips", is.fast_path_skips,
+            published_.index_fast_path_skips);
+  add_delta("graph.index.candidate_tests", is.candidate_tests,
+            published_.index_candidate_tests);
+  add_delta("trace.batches_started", tracer.started(), published_.trace_started);
+  add_delta("trace.batches_evicted", tracer.evicted(), published_.trace_evicted);
+
+  registry.gauge("graph.resident_batches").set(static_cast<double>(graph.size()));
+  registry.gauge("graph.size_at_insert.avg").set(graph.size_at_insert().mean());
+  registry.gauge("graph.size_at_insert.max").set(graph.size_at_insert().max());
+  registry.gauge("graph.index.active").set(graph.index_active() ? 1.0 : 0.0);
+  registry.gauge("graph.index.fell_back_to_scan").set(is.fell_back_to_scan ? 1.0 : 0.0);
+  registry.gauge("trace.capacity").set(static_cast<double>(tracer.capacity()));
+}
+
 }  // namespace psmr::core

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "core/conflict.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "smr/batch.hpp"
 #include "stats/meter.hpp"
@@ -224,6 +225,31 @@ class DependencyGraph {
   std::uint64_t probe_stamp_ = 0;
   IndexStats index_stats_;
   obs::BatchTracer* tracer_ = nullptr;
+};
+
+/// Publishes one graph's serialized accumulators (conflict and index stats,
+/// tracer totals) into a registry: counters grow by the delta since the
+/// last publish, so exported values stay monotonic across snapshots, and
+/// the graph gauges are re-set (DESIGN.md §10). The graph schedulers call
+/// it from stats(), under the guard that serializes their graph.
+class GraphStatsPublisher {
+ public:
+  void publish(obs::MetricsRegistry& registry, const DependencyGraph& graph,
+               const obs::BatchTracer& tracer);
+
+ private:
+  // Accumulator values already added into the registry counters.
+  struct Totals {
+    std::uint64_t pair_tests = 0;
+    std::uint64_t comparisons = 0;
+    std::uint64_t conflicts_found = 0;
+    std::uint64_t index_probes = 0;
+    std::uint64_t index_fast_path_skips = 0;
+    std::uint64_t index_candidate_tests = 0;
+    std::uint64_t trace_started = 0;
+    std::uint64_t trace_evicted = 0;
+  };
+  Totals published_;
 };
 
 }  // namespace psmr::core

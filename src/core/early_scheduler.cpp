@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <exception>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -15,22 +17,18 @@ constexpr std::size_t kDefaultQueueCapacity = std::size_t{1} << 16;
 
 EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
     : config_(std::move(options)),
-      executor_(std::move(executor)),
       metrics_(config_.metrics != nullptr ? config_.metrics
                                           : std::make_shared<obs::MetricsRegistry>()),
       batches_delivered_metric_(&metrics_->counter("scheduler.batches_delivered")),
-      batches_executed_metric_(&metrics_->counter("scheduler.batches_executed")),
-      commands_executed_metric_(&metrics_->counter("scheduler.commands_executed")),
-      batches_failed_metric_(&metrics_->counter("scheduler.batches_failed")),
       fast_path_metric_(&metrics_->counter("early.batches_fast_path")),
       multi_class_metric_(&metrics_->counter("early.batches_multi_class")),
       fallback_metric_(&metrics_->counter("early.batches_fallback")),
       queue_wait_metric_(&metrics_->histogram("scheduler.queue_wait_ns")),
       tracer_(config_.trace_capacity),
-      bp_(*metrics_, config_.max_pending_batches, config_.high_watermark,
-          config_.low_watermark) {
+      step_(*metrics_, std::move(executor), &tracer_),
+      bp_(*metrics_, config_),
+      breaker_(*metrics_, config_) {
   config_.validate();
-  PSMR_CHECK(executor_ != nullptr);
   // Participant ids are class workers 0..W-1 plus the fallback engine at
   // bit W, all in one 64-bit set — same cap as the class mask itself.
   PSMR_CHECK(config_.workers <= smr::ConflictClassMap::kMaxClasses);
@@ -66,33 +64,20 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
                                               : config_.workers;
   fallback_ = std::make_unique<Scheduler>(
       std::move(sub), [this](const smr::Batch& b) {
-        std::shared_ptr<Gate> gate;
-        {
-          std::lock_guard lk(gates_mu_);
-          const auto it = gates_.find(b.sequence());
-          if (it != gates_.end()) gate = it->second;
-        }
-        tracer_.record(b.sequence(), obs::Stage::kReady);
-        tracer_.record(b.sequence(), obs::Stage::kTaken);
-        if (gate == nullptr) {
-          // Pure fallback batch: the engine isolates faults, fires the
-          // forwarded on_failure, and runs its own circuit breaker; only
-          // the exactly-once totals are accounted here.
-          try {
-            executor_(b);
-          } catch (...) {
-            batches_failed_metric_->add(1);
-            tracer_.record_executed(b.sequence(), num_class_workers(), true);
-            tracer_.record(b.sequence(), obs::Stage::kRemoved);
-            throw;
-          }
-          batches_executed_metric_->add(1);
-          commands_executed_metric_->add(b.size());
-          tracer_.record_executed(b.sequence(), num_class_workers(), false);
-          tracer_.record(b.sequence(), obs::Stage::kRemoved);
+        const std::uint64_t seq = b.sequence();
+        const std::size_t me = num_class_workers();
+        tracer_.record(seq, obs::Stage::kReady);
+        tracer_.record(seq, obs::Stage::kTaken);
+        // A failure is rethrown so the engine isolates it and runs its own
+        // circuit breaker; on_failure already fired once, in the step.
+        if (const auto gate = gates_.find(seq)) {
+          gates_.pass(me, *gate, seq, [&] { return lead(me, b); });
           return;
         }
-        rendezvous(num_class_workers(), *gate, b);
+        // Pure fallback batch: no class-worker serialization applies.
+        const std::exception_ptr err = step_.run(b, static_cast<std::uint32_t>(me));
+        tracer_.record(seq, obs::Stage::kRemoved);
+        if (err != nullptr) std::rethrow_exception(err);
       });
 
   metrics_->gauge("early.classes").set(static_cast<double>(map_->num_classes()));
@@ -107,16 +92,6 @@ void EarlyScheduler::start() {
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
   }
-}
-
-void EarlyScheduler::set_on_failure(FailureFn fn) {
-  on_failure_ = std::move(fn);
-  // Pure-fallback failures (and fallback-led gate failures) throw out of
-  // the embedded engine, which fires this forward exactly once; class-
-  // worker paths call on_failure_ directly.
-  fallback_->set_on_failure([this](const smr::Batch& b, const std::string& what) {
-    if (on_failure_) on_failure_(b, what);
-  });
 }
 
 std::uint64_t EarlyScheduler::participants_of(std::uint64_t class_mask) const noexcept {
@@ -183,27 +158,16 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   // delivery-sequence-keyed gate FIRST, then hand the batch to every
   // touched participant in ascending order. All replicas deliver in the
   // same total order, so every participant sees the same subsequence.
-  auto gate = std::make_shared<Gate>();
-  gate->expected = static_cast<unsigned>(touched);
-  gate->leader = static_cast<std::size_t>(std::countr_zero(pset));
-  {
-    std::lock_guard lk(gates_mu_);
-    gates_.emplace(seq, gate);
-  }
+  const auto gate = gates_.open(seq, pset);
   for (std::uint64_t rest = pset & (fallback_bit - 1); rest != 0; rest &= rest - 1) {
     const auto w = static_cast<std::size_t>(std::countr_zero(rest));
     push_item(w, Item{batch, gate, 0});
   }
-  if ((pset & fallback_bit) != 0) {
-    if (!fallback_->deliver(batch)) {
-      // Raced stop(): the engine rejected its leg. The class-worker legs
-      // are already queued and drain before the workers join, so shrink
-      // the gate to the participants that actually hold the batch. The
-      // fallback participant has the highest id, so the leader stands.
-      std::lock_guard lk(gate->mu);
-      --gate->expected;
-      gate->cv.notify_all();
-    }
+  if ((pset & fallback_bit) != 0 && !fallback_->deliver(batch)) {
+    // Raced stop(): the engine rejected its leg. The class-worker legs are
+    // already queued and drain before the workers join, so shrink the gate
+    // to the participants that actually hold the batch.
+    gates_.shrink(seq, *gate, pset & (fallback_bit - 1));
   }
   tracer_.record(seq, obs::Stage::kInserted);
   batches_delivered_metric_->add(1);
@@ -239,41 +203,21 @@ bool EarlyScheduler::wait_for_capacity(std::uint64_t pset) {
       }
       return true;
     };
-    if (!workers_have_space()) {
-      switch (config_.backpressure) {
-        case BackpressureMode::kReject:
-          bp_.count_reject();
-          return false;
-        case BackpressureMode::kBlockWithDeadline: {
-          const std::uint64_t t0 = util::now_ns();
+    // The workers drain on their own, so the wait polls. stop() cannot cut
+    // in: it takes lifecycle_mu_, which deliver() holds throughout.
+    const bool admitted =
+        bp_.admit(workers_have_space, [&](std::optional<std::chrono::milliseconds> limit) {
           const std::uint64_t deadline_ns =
-              t0 + static_cast<std::uint64_t>(
-                       std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           config_.backpressure_deadline)
-                           .count());
+              limit ? util::now_ns() + static_cast<std::uint64_t>(
+                                           std::chrono::nanoseconds(*limit).count())
+                    : std::numeric_limits<std::uint64_t>::max();
           while (!workers_have_space()) {
-            if (stopping_.load(std::memory_order_relaxed)) return false;
-            if (util::now_ns() >= deadline_ns) {
-              bp_.count_wait(util::now_ns() - t0);
-              bp_.count_deadline_expired();
-              return false;
-            }
+            if (util::now_ns() >= deadline_ns) return false;
             std::this_thread::yield();
           }
-          bp_.count_wait(util::now_ns() - t0);
-          break;
-        }
-        case BackpressureMode::kBlock: {
-          const std::uint64_t t0 = util::now_ns();
-          while (!workers_have_space()) {
-            if (stopping_.load(std::memory_order_relaxed)) return false;
-            std::this_thread::yield();
-          }
-          bp_.count_wait(util::now_ns() - t0);
-          break;
-        }
-      }
-    }
+          return true;
+        });
+    if (!admitted) return false;
   }
   // The fallback engine applies its own (identically configured) policy;
   // space it grants persists because this thread is its sole inserter.
@@ -353,9 +297,13 @@ void EarlyScheduler::process_item(std::size_t w, Item& item) {
   tracer_.record(seq, obs::Stage::kReady);
   tracer_.record(seq, obs::Stage::kTaken);
   if (item.gate == nullptr) {
-    run_leader(w, batch);
+    lead(w, batch);
   } else {
-    rendezvous(w, *item.gate, batch);
+    // Every touched participant has parked this batch at the head of its
+    // delivery-order stream when the leader runs it: all predecessors that
+    // share a class (or an unclassified key) with it are done, which is
+    // exactly where the single Scheduler would execute it.
+    gates_.pass(w, *item.gate, seq, [&] { return lead(w, batch); });
   }
   // Publish the depth change BEFORE complete_one's barrier notification:
   // the quiesce predicate reads `pending`, so notifying first would let the
@@ -364,134 +312,24 @@ void EarlyScheduler::process_item(std::size_t w, Item& item) {
   complete_one();
 }
 
-void EarlyScheduler::run_leader(std::size_t participant, const smr::Batch& batch) {
-  // Executes a batch on a class worker (fast path, or as gate leader),
-  // with the same fault isolation + circuit-breaker contract as the graph
-  // Scheduler's worker loop. Degraded mode serializes to one batch in
-  // flight; effects of non-conflicting batches commute, so the interleaving
-  // change cannot diverge replicas.
-  bool ok = true;
-  std::string what;
-  try {
-    if (degraded_.load(std::memory_order_acquire)) {
-      std::lock_guard serial(serial_mu_);
-      executor_(batch);
-    } else {
-      executor_(batch);
-    }
-  } catch (const std::exception& e) {
-    ok = false;
-    what = e.what();
-  } catch (...) {
-    ok = false;
-    what = "unknown exception";
-  }
-  tracer_.record_executed(batch.sequence(), static_cast<std::uint32_t>(participant), !ok);
-  tracer_.record(batch.sequence(), obs::Stage::kRemoved);
-  if (ok) {
-    batches_executed_metric_->add(1);
-    commands_executed_metric_->add(batch.size());
-    workers_[participant]->executed_metric->add(1);
-    note_success();
-  } else {
-    batches_failed_metric_->add(1);
-    note_failure();
-    if (on_failure_) on_failure_(batch, what);
-  }
-}
-
-void EarlyScheduler::rendezvous(std::size_t participant, Gate& gate,
-                                const smr::Batch& batch) {
-  const bool is_fallback = participant == num_class_workers();
-  std::unique_lock lk(gate.mu);
-  ++gate.arrived;
-  if (gate.arrived == gate.expected) gate.cv.notify_all();
-  gate.cv.wait(lk, [&] {
-    return gate.done ||
-           (participant == gate.leader && gate.arrived == gate.expected);
-  });
+std::exception_ptr EarlyScheduler::lead(std::size_t participant, const smr::Batch& batch) {
+  // Degraded mode serializes to one batch in flight; effects of
+  // non-conflicting batches commute, so the interleaving change cannot
+  // diverge replicas.
+  const bool fallback = participant == num_class_workers();
   std::exception_ptr err;
-  if (!gate.done && participant == gate.leader) {
-    // Every touched participant has parked this batch at the head of its
-    // delivery-order stream: all predecessors that share a class (or an
-    // unclassified key) with it are done, so executing now is exactly
-    // where the single Scheduler would execute it. Run outside the lock.
-    lk.unlock();
-    bool ok = true;
-    std::string what;
-    try {
-      if (degraded_.load(std::memory_order_acquire)) {
-        std::lock_guard serial(serial_mu_);
-        executor_(batch);
-      } else {
-        executor_(batch);
-      }
-    } catch (...) {
-      ok = false;
-      err = std::current_exception();
-      try {
-        std::rethrow_exception(err);
-      } catch (const std::exception& e) {
-        what = e.what();
-      } catch (...) {
-        what = "unknown exception";
-      }
-    }
-    tracer_.record_executed(batch.sequence(),
-                            static_cast<std::uint32_t>(participant), !ok);
-    tracer_.record(batch.sequence(), obs::Stage::kRemoved);
-    if (ok) {
-      batches_executed_metric_->add(1);
-      commands_executed_metric_->add(batch.size());
-      if (!is_fallback) {
-        workers_[participant]->executed_metric->add(1);
-        note_success();
-      }
-    } else {
-      batches_failed_metric_->add(1);
-      if (!is_fallback) {
-        note_failure();
-        if (on_failure_) on_failure_(batch, what);
-        err = nullptr;  // accounted here; the worker loop survives anyway
-      }
-      // Fallback leader: rethrow below so the embedded engine isolates the
-      // fault, runs its circuit breaker, and fires the forwarded
-      // on_failure exactly once.
-    }
-    lk.lock();
-    gate.done = true;
-    gate.cv.notify_all();
+  {
+    std::unique_lock serial(serial_mu_, std::defer_lock);
+    if (breaker_.degraded()) serial.lock();
+    err = step_.run(batch, static_cast<std::uint32_t>(participant),
+                    fallback ? nullptr : workers_[participant]->executed_metric);
   }
-  const bool last = ++gate.departed == gate.expected;
-  lk.unlock();
-  if (last) {
-    std::lock_guard g(gates_mu_);
-    gates_.erase(batch.sequence());
-  }
-  if (err != nullptr) std::rethrow_exception(err);
-}
-
-void EarlyScheduler::note_success() {
+  tracer_.record(batch.sequence(), obs::Stage::kRemoved);
+  // The fallback engine runs its own breaker on the rethrown failure.
+  if (fallback) return err;
   std::lock_guard lk(circuit_mu_);
-  consecutive_failures_ = 0;
-  if (degraded_.load(std::memory_order_relaxed) &&
-      config_.circuit_recovery_threshold != 0 &&
-      ++consecutive_successes_ >= config_.circuit_recovery_threshold) {
-    degraded_.store(false, std::memory_order_release);
-    consecutive_successes_ = 0;
-    metrics_->counter("scheduler.circuit.recoveries").add(1);
-  }
-}
-
-void EarlyScheduler::note_failure() {
-  std::lock_guard lk(circuit_mu_);
-  consecutive_successes_ = 0;
-  if (config_.circuit_failure_threshold != 0 &&
-      !degraded_.load(std::memory_order_relaxed) &&
-      ++consecutive_failures_ >= config_.circuit_failure_threshold) {
-    degraded_.store(true, std::memory_order_release);
-    metrics_->counter("scheduler.circuit.trips").add(1);
-  }
+  breaker_.record(err == nullptr);
+  return nullptr;  // accounted here; the worker loop survives anyway
 }
 
 void EarlyScheduler::complete_one() {
@@ -609,13 +447,14 @@ void EarlyScheduler::stop() {
 }
 
 bool EarlyScheduler::degraded() const {
-  return degraded_.load(std::memory_order_acquire) || fallback_->degraded();
+  return breaker_.degraded() || fallback_->degraded();
 }
 
 obs::Snapshot EarlyScheduler::stats() const {
   const auto fast = static_cast<double>(fast_path_metric_->value());
   const auto total = static_cast<double>(batches_delivered_metric_->value());
   metrics_->gauge("early.fast_path_fraction").set(total == 0.0 ? 0.0 : fast / total);
+  breaker_.publish();
   obs::Snapshot snap = metrics_->snapshot();
   snap.merge(fallback_->stats(), "fallback.");
   return snap;

@@ -13,15 +13,16 @@
 // shared monitor.
 //
 // Three delivery paths, chosen per batch from its touched-class mask
-// (stamped at batch formation by the Proxy, mirroring build_shard_mask):
+// (stamped at batch formation by the Proxy, like the touched-shard mask):
 //
 //   1. FAST PATH — all classes owned by one worker: push onto that
 //      worker's queue. Each queue is filled only by the (single) delivery
 //      thread and drained only by its worker, in FIFO order.
 //   2. MULTI-CLASS — classes owned by several workers: every touched
 //      worker receives the batch plus a rendezvous gate keyed by the
-//      delivery sequence (the ShardedScheduler's gate pattern); the lowest
-//      touched participant runs the executor exactly once.
+//      delivery sequence (core::RendezvousGates, shared with the
+//      ShardedScheduler); the lowest touched participant runs the executor
+//      exactly once.
 //   3. FALLBACK — the batch touches an unclassified key: it is inserted
 //      into an embedded graph Scheduler, recovering the paper's general
 //      mechanism. A batch that ALSO touches classified classes rendezvouses
@@ -47,14 +48,16 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/backpressure.hpp"
+#include "core/circuit_breaker.hpp"
+#include "core/execute_step.hpp"
+#include "core/rendezvous.hpp"
 #include "core/scheduler.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
@@ -67,8 +70,8 @@ namespace psmr::core {
 
 class EarlyScheduler {
  public:
-  using Executor = Scheduler::Executor;
-  using FailureFn = Scheduler::FailureFn;
+  using Executor = core::Executor;
+  using FailureFn = core::FailureFn;
 
   /// `options.workers` = class-worker pool size; classes are bound to
   /// workers by ConflictClassMap::worker_of_class(cls, workers).
@@ -132,7 +135,7 @@ class EarlyScheduler {
 
   /// Fires exactly once per failed batch (from the worker — or gate
   /// leader — that ran it). Set before start().
-  void set_on_failure(FailureFn fn);
+  void set_on_failure(FailureFn fn) { step_.set_on_failure(std::move(fn)); }
 
   /// True while the class-worker circuit or the fallback engine's circuit
   /// is tripped.
@@ -163,23 +166,11 @@ class EarlyScheduler {
   void check_invariants() const;
 
  private:
-  /// Rendezvous state for one multi-participant batch, keyed by delivery
-  /// sequence. Participants are class workers 0..W-1 plus the fallback
-  /// engine (participant id W). Same protocol as ShardedScheduler::Gate.
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    unsigned expected;   // number of participants
-    std::size_t leader;  // lowest participant id: runs the executor
-    unsigned arrived = 0;
-    unsigned departed = 0;
-    bool done = false;
-  };
-
-  /// One queued unit of work for a class worker.
+  /// One queued unit of work for a class worker. Gate participants are
+  /// class workers 0..W-1 plus the fallback engine (participant id W).
   struct Item {
     smr::BatchPtr batch;
-    std::shared_ptr<Gate> gate;  // null = fast path (run directly)
+    std::shared_ptr<RendezvousGates::Gate> gate;  // null = fast path (run directly)
     std::uint64_t pushed_ns = 0;
   };
 
@@ -198,8 +189,11 @@ class EarlyScheduler {
 
   void worker_loop(std::size_t w);
   void process_item(std::size_t w, Item& item);
-  void run_leader(std::size_t participant, const smr::Batch& batch);
-  void rendezvous(std::size_t participant, Gate& gate, const smr::Batch& batch);
+  /// Runs a batch as `participant`: a class worker (fast path or gate
+  /// leader) or the fallback engine as gate leader. Returns the exception
+  /// to hand to the fallback engine; class-worker failures are accounted
+  /// here, in the class-worker breaker.
+  std::exception_ptr lead(std::size_t participant, const smr::Batch& batch);
   void push_item(std::size_t w, Item item);
   /// Runs the configured backpressure policy over the class-worker legs of
   /// `pset` (the fallback leg delegates to fallback_->wait_for_space()).
@@ -207,15 +201,11 @@ class EarlyScheduler {
   bool wait_for_capacity(std::uint64_t pset);
   /// Publishes the deepest class-worker queue into the meter.
   void publish_depth();
-  void note_success();
-  void note_failure();
   void complete_one();
   /// Participant set (bits over workers, bit W = fallback) for a class mask.
   std::uint64_t participants_of(std::uint64_t class_mask) const noexcept;
 
   SchedulerOptions config_;
-  Executor executor_;
-  FailureFn on_failure_;
   std::shared_ptr<const smr::ConflictClassMap> map_;
   // Written by the delivery thread (constructor, apply_class_map); atomic so
   // class_map_fingerprint() is safe to poll from any other thread.
@@ -223,14 +213,15 @@ class EarlyScheduler {
 
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
   obs::Counter* fast_path_metric_;
   obs::Counter* multi_class_metric_;
   obs::Counter* fallback_metric_;
   obs::HistogramMetric* queue_wait_metric_;
   obs::BatchTracer tracer_;
+  // Exactly-once totals and the one on_failure report: a fallback-engine
+  // failure is rethrown from here for the engine's own counters and
+  // breaker, which never report it a second time.
+  ExecuteStep step_;
   // Updated only from the delivery thread (under lifecycle_mu_); depth is
   // the deepest class-worker queue, the binding resource of this variant.
   BackpressureMeter bp_;
@@ -261,16 +252,14 @@ class EarlyScheduler {
   std::condition_variable barrier_cv_;  // await_barrier() waits here
   std::condition_variable release_cv_;  // parked workers wait here
 
-  // Circuit breaker over the class workers (fast + gate paths). The
-  // fallback engine trips its own breaker for graph-run batches.
+  // Circuit breaker over the class workers (fast + gate paths), fed under
+  // circuit_mu_. The fallback engine trips its own breaker for graph-run
+  // batches.
   std::mutex circuit_mu_;
-  unsigned consecutive_failures_ = 0;
-  unsigned consecutive_successes_ = 0;
-  std::atomic<bool> degraded_{false};
+  CircuitBreaker breaker_;
   std::mutex serial_mu_;  // degraded mode: one batch in flight at a time
 
-  std::mutex gates_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Gate>> gates_;
+  RendezvousGates gates_;
 };
 
 }  // namespace psmr::core

@@ -37,7 +37,9 @@
 #include <vector>
 
 #include "core/backpressure.hpp"
+#include "core/circuit_breaker.hpp"
 #include "core/dependency_graph.hpp"
+#include "core/execute_step.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -48,14 +50,8 @@ namespace psmr::core {
 
 class PipelinedScheduler {
  public:
-  /// Deprecated alias kept for one release — use SchedulerOptions.
-  using Config = SchedulerOptions;
-
-  /// Invoked (on the worker thread, outside any scheduler state) when an
-  /// executor throws — same contract as Scheduler::FailureFn.
-  using FailureFn = std::function<void(const smr::Batch&, const std::string&)>;
-
-  using Executor = std::function<void(const smr::Batch&)>;
+  using FailureFn = core::FailureFn;
+  using Executor = core::Executor;
 
   PipelinedScheduler(SchedulerOptions options, Executor executor);
   ~PipelinedScheduler();
@@ -96,7 +92,7 @@ class PipelinedScheduler {
   }
 
   /// Optional hook observing failed batches. Set before start().
-  void set_on_failure(FailureFn fn) { on_failure_ = std::move(fn); }
+  void set_on_failure(FailureFn fn) { step_.set_on_failure(std::move(fn)); }
 
   /// True while the failure circuit is tripped (fault-isolation parity with
   /// Scheduler: circuit_failure_threshold consecutive executor throws trip
@@ -105,9 +101,7 @@ class PipelinedScheduler {
   /// one batch at a time; batches already sitting in the ready queue at
   /// trip time still drain first (the dispatch gate counts them as
   /// in-flight, so no NEW work is released until they finish).
-  bool degraded() const noexcept {
-    return degraded_public_.load(std::memory_order_relaxed);
-  }
+  bool degraded() const noexcept { return breaker_.degraded(); }
 
   /// Unified metrics snapshot — same names and schema as Scheduler::stats()
   /// (`scheduler.*`, `graph.*`, `worker.N.*`, `scheduler.queue_wait_ns`).
@@ -146,20 +140,16 @@ class PipelinedScheduler {
   void worker_loop(unsigned worker_index);
 
   SchedulerOptions config_;
-  Executor executor_;
-  FailureFn on_failure_;
   std::atomic<std::uint64_t> class_map_fp_{0};
 
   // Registry handles resolved once at construction; hot paths touch only
   // the cached pointers.
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
   obs::HistogramMetric* queue_wait_metric_;
   std::vector<obs::Counter*> worker_batches_metric_;
   obs::BatchTracer tracer_;
+  ExecuteStep step_;
   // Watermark/hysteresis updates run under idle_mu_ when a bound is set
   // (delivery admits, scheduler-thread completions); with no bound only the
   // depth gauge is touched, which is atomic.
@@ -172,15 +162,12 @@ class PipelinedScheduler {
   DependencyGraph graph_;
   std::uint64_t next_seq_check_ = 0;
 
-  // Circuit-breaker state, owned by the scheduler thread (no lock needed:
+  // Circuit breaker, fed by the scheduler thread only (no lock needed:
   // completions and dispatch decisions all flow through it). inflight_
   // counts nodes pushed to ready_ whose Completion has not come back —
   // the degraded-mode dispatch gate.
   std::size_t inflight_ = 0;
-  unsigned consecutive_failures_ = 0;
-  unsigned consecutive_successes_ = 0;
-  bool degraded_ = false;
-  std::atomic<bool> degraded_public_{false};  // mirror for the accessor
+  CircuitBreaker breaker_;
 
   // Barrier state owned by the scheduler thread...
   bool barrier_armed_ = false;
@@ -198,20 +185,7 @@ class PipelinedScheduler {
   mutable std::mutex stats_mu_;  // guards graph_ stats reads vs scheduler thread
   mutable std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-
-  // Shadow of graph-internal accumulators already pushed into registry
-  // counters (see Scheduler::PublishedTotals). Guarded by stats_mu_.
-  struct PublishedTotals {
-    std::uint64_t pair_tests = 0;
-    std::uint64_t comparisons = 0;
-    std::uint64_t conflicts_found = 0;
-    std::uint64_t index_probes = 0;
-    std::uint64_t index_fast_path_skips = 0;
-    std::uint64_t index_candidate_tests = 0;
-    std::uint64_t trace_started = 0;
-    std::uint64_t trace_evicted = 0;
-  };
-  mutable PublishedTotals published_;
+  mutable GraphStatsPublisher graph_stats_;  // guarded by stats_mu_
 
   std::thread scheduler_thread_;
   std::vector<std::thread> workers_;

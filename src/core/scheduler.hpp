@@ -26,7 +26,9 @@
 #include <vector>
 
 #include "core/backpressure.hpp"
+#include "core/circuit_breaker.hpp"
 #include "core/dependency_graph.hpp"
+#include "core/execute_step.hpp"
 #include "core/scheduler_options.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -36,19 +38,8 @@ namespace psmr::core {
 
 class Scheduler {
  public:
-  /// Deprecated alias kept for one release — use SchedulerOptions.
-  using Config = SchedulerOptions;
-
-  /// Invoked (outside the scheduler lock, on the worker thread) when an
-  /// executor throws: receives the failed batch and the exception message.
-  /// The batch was removed from the graph — dependents run regardless.
-  using FailureFn = std::function<void(const smr::Batch&, const std::string&)>;
-
-  /// `executor` runs all commands of a batch, in batch order, on the worker
-  /// thread that took it. It must be safe to invoke concurrently for
-  /// independent batches (the service provides that, e.g. via striped
-  /// locks).
-  using Executor = std::function<void(const smr::Batch&)>;
+  using FailureFn = core::FailureFn;
+  using Executor = core::Executor;
 
   Scheduler(SchedulerOptions options, Executor executor);
   ~Scheduler();
@@ -129,7 +120,7 @@ class Scheduler {
 
   /// Optional hook observing failed batches (e.g. to emit error responses
   /// when the executor itself cannot). Set before start().
-  void set_on_failure(FailureFn fn) { on_failure_ = std::move(fn); }
+  void set_on_failure(FailureFn fn) { step_.set_on_failure(std::move(fn)); }
 
   /// True while the failure circuit is tripped. With
   /// circuit_recovery_threshold set, the circuit half-opens: enough
@@ -166,7 +157,7 @@ class Scheduler {
   /// is already in flight (degraded mode = one batch at a time). Requires
   /// mu_ held.
   bool can_take_locked() const {
-    return !degraded_ || graph_.num_taken() == 0;
+    return !breaker_.degraded() || graph_.num_taken() == 0;
   }
 
   /// Highest delivery sequence workers may start right now; unbounded when
@@ -177,22 +168,18 @@ class Scheduler {
   }
 
   SchedulerOptions config_;
-  Executor executor_;
-  FailureFn on_failure_;
   std::atomic<std::uint64_t> class_map_fp_{0};
 
   // Observability: registry handles are resolved once, in the constructor;
   // the hot path only touches the cached pointers (sharded relaxed adds).
   std::shared_ptr<obs::MetricsRegistry> metrics_;
   obs::Counter* batches_delivered_metric_;
-  obs::Counter* batches_executed_metric_;
-  obs::Counter* commands_executed_metric_;
-  obs::Counter* batches_failed_metric_;
   obs::HistogramMetric* queue_wait_metric_;
   std::vector<obs::Counter*> worker_batches_metric_;
   obs::BatchTracer tracer_;
-  // Depth/watermark updates run under mu_ (delivery inserts, worker
-  // removes), satisfying the meter's serialization contract.
+  ExecuteStep step_;
+  // Admission and depth/watermark updates run under mu_ (delivery inserts,
+  // worker removes), satisfying the meter's serialization contract.
   BackpressureMeter bp_;
 
   mutable std::mutex mu_;
@@ -205,25 +192,9 @@ class Scheduler {
   bool started_ = false;
   bool barrier_armed_ = false;
   std::uint64_t barrier_seq_ = 0;
-  unsigned consecutive_failures_ = 0;
-  unsigned consecutive_successes_ = 0;  // probation progress while degraded
-  bool degraded_ = false;
-
-  // Graph-internal accumulators (conflict/index stats, batches inserted)
-  // live inside the serialized DependencyGraph; stats() publishes them into
-  // the registry as counters by adding the delta since the last publish.
+  CircuitBreaker breaker_;  // guarded by mu_
   // Guarded by mu_; mutable because stats() is const.
-  struct PublishedTotals {
-    std::uint64_t pair_tests = 0;
-    std::uint64_t comparisons = 0;
-    std::uint64_t conflicts_found = 0;
-    std::uint64_t index_probes = 0;
-    std::uint64_t index_fast_path_skips = 0;
-    std::uint64_t index_candidate_tests = 0;
-    std::uint64_t trace_started = 0;
-    std::uint64_t trace_evicted = 0;
-  };
-  mutable PublishedTotals published_;
+  mutable GraphStatsPublisher graph_stats_;
 
   std::vector<std::thread> workers_;
 };

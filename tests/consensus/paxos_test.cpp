@@ -322,6 +322,61 @@ TEST(PaxosGroup, LateLearnerCatchesUpFromInstanceOne) {
   EXPECT_EQ(late.snapshot(), original.snapshot());
 }
 
+TEST(PaxosGroup, TruncationBoundsAcceptorLogAndSurvivesLeaderChange) {
+  GroupConfig cfg;
+  cfg.proposers = 2;
+  PaxosGroup group(cfg);
+  Sink sink;
+  group.subscribe(sink.fn());
+  group.start();
+  constexpr std::uint64_t kDecided = 200;
+  constexpr std::uint64_t kMore = 40;
+  for (std::uint64_t i = 1; i <= kDecided; ++i) group.broadcast(payload_of(i));
+  ASSERT_TRUE(eventually([&] { return sink.size() >= kDecided; }, 15000ms));
+  // Let every acceptor process the last Accepts (and any retransmission)
+  // before truncating, so nothing below the horizon lands afterwards.
+  ASSERT_TRUE(eventually([&] {
+    for (unsigned a = 0; a < cfg.acceptors; ++a) {
+      if (group.acceptor_accepted_count(a) < kDecided) return false;
+    }
+    return true;
+  }));
+  std::this_thread::sleep_for(200ms);
+
+  const InstanceId horizon = group.learner_next_instance(0);
+  ASSERT_GT(horizon, kDecided);
+  group.truncate_log_below(horizon);
+  // Every decided instance lies below the horizon: the acceptors' logs are
+  // empty again instead of growing with every decision.
+  for (unsigned a = 0; a < cfg.acceptors; ++a) {
+    EXPECT_EQ(group.acceptor_accepted_count(a), 0u) << "acceptor " << a;
+  }
+
+  // A new leader runs Phase 1 from the horizon: it must not re-propose (or
+  // no-op fill) any truncated instance, so the acceptors end up holding
+  // only the instances decided after the change.
+  ASSERT_TRUE(eventually([&] { return group.leader_index() >= 0; }));
+  const int old_leader = group.leader_index();
+  group.crash_proposer(static_cast<unsigned>(old_leader));
+  for (std::uint64_t i = kDecided + 1; i <= kDecided + kMore; ++i) {
+    group.broadcast(payload_of(i));
+  }
+  ASSERT_TRUE(eventually([&] { return sink.size() >= kDecided + kMore; }, 15000ms));
+  ASSERT_TRUE(eventually(
+      [&] { return group.leader_index() >= 0 && group.leader_index() != old_leader; }));
+  std::this_thread::sleep_for(200ms);
+  for (unsigned a = 0; a < cfg.acceptors; ++a) {
+    EXPECT_LE(group.acceptor_accepted_count(a), kMore) << "acceptor " << a;
+  }
+  const auto got = sink.snapshot();
+  std::set<std::uint64_t> values;
+  for (const auto& [seq, v] : got) {
+    EXPECT_TRUE(values.insert(v).second) << "duplicate delivery of " << v;
+  }
+  EXPECT_EQ(values.size(), kDecided + kMore);
+  group.stop();
+}
+
 TEST(PaxosGroup, BoundedProposerPipelineBlocksBroadcastAtCap) {
   // DESIGN.md §14: with max_unacked_broadcasts set, broadcast() becomes a
   // backpressure point — when the group cannot decide (here: proposer cut

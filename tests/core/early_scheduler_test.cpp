@@ -36,7 +36,9 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp != nullptr) b->build_class_mask(*stamp);
+  if (stamp != nullptr) {
+    b->stamp(smr::PlacementMaps{0, std::make_shared<const smr::ConflictClassMap>(*stamp)});
+  }
   return b;
 }
 
@@ -299,6 +301,7 @@ TEST(EarlySchedulerTest, CircuitBreakerTripsAndRecovers) {
   }
   s.wait_idle();
   EXPECT_TRUE(s.degraded());  // circuit tripped after 3 consecutive failures
+  EXPECT_EQ(s.stats().gauge("scheduler.degraded"), 1.0);
   for (std::uint64_t seq = 4; seq <= 5; ++seq) {
     ASSERT_TRUE(s.deliver(make_batch(seq, {smr::Key{0}})));
   }
@@ -306,6 +309,7 @@ TEST(EarlySchedulerTest, CircuitBreakerTripsAndRecovers) {
   const auto st = s.stats();
   EXPECT_FALSE(s.degraded());  // 2 consecutive successes closed it
   s.stop();
+  EXPECT_EQ(st.gauge("scheduler.degraded"), 0.0);
   EXPECT_EQ(st.counter("scheduler.circuit.trips"), 1u);
   EXPECT_EQ(st.counter("scheduler.circuit.recoveries"), 1u);
 }
