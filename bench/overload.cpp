@@ -43,6 +43,8 @@
 #include "smr/local_orderer.hpp"
 #include "smr/replica.hpp"
 #include "stats/histogram.hpp"
+#include "util/assert.hpp"
+#include "util/blocking_queue.hpp"
 #include "util/time.hpp"
 #include "workload/generator.hpp"
 
@@ -196,6 +198,16 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
   res.multiplier = multiplier;
   res.offered_rate = rate;
 
+  // Arrivals and delivery run on separate threads. The arrival loop only
+  // admits or sheds, so a busy server never slows the arrival process down
+  // (delivering inline would turn it back into a closed loop capped at
+  // phase-A capacity, and nothing would ever be shed). Admitted commands
+  // wait in the ingress queue, which the admission credits bound.
+  psmr::util::BlockingQueue<std::unique_ptr<psmr::smr::Batch>> ingress;
+  std::thread deliverer([&] {
+    while (auto batch = ingress.pop()) orderer.broadcast(std::move(*batch));
+  });
+
   std::vector<std::uint64_t> seq(opt.clients, 0);
   const double inter_ns = 1e9 / rate;
   const std::uint64_t t0 = now_ns();
@@ -223,8 +235,12 @@ RunResult run_open_loop(const Options& opt, double multiplier, double rate) {
     arrival[client].store(now, std::memory_order_release);
     std::vector<psmr::smr::Command> cmds;
     cmds.push_back(make_command(gen, client, ++seq[client]));
-    orderer.broadcast(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
+    const bool queued =
+        ingress.push(std::make_unique<psmr::smr::Batch>(std::move(cmds)));
+    PSMR_CHECK(queued);
   }
+  ingress.close();
+  deliverer.join();
 
   // Drain: everything admitted must complete (bounded, by construction).
   const std::uint64_t drain_deadline = now_ns() + 5'000'000'000ULL;

@@ -8,6 +8,7 @@
 // ("crash the leader after 20 broadcasts") rides the same schedule.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -93,10 +94,12 @@ TEST_P(CrashRecoveryTest, RestartedReplicaConvergesViaCheckpointAndTruncatedLog)
   // b_mu guards the swap (restart runs on A's learner thread while the main
   // thread polls for convergence).
   std::mutex b_mu;
+  std::atomic<bool> b_checkpointed{false};
   std::unique_ptr<Incarnation> b = std::make_unique<Incarnation>(kCheckpointInterval);
   b->replica->checkpoints()->set_on_checkpoint(
       [&](const smr::CheckpointPtr& record) {
         const std::uint64_t stable = quorum.note(1, record->log_horizon);
+        b_checkpointed.store(true);
         if (stable > 1) group.truncate_log_below(stable);
       });
   const std::size_t b_first_learner = 1;
@@ -117,6 +120,15 @@ TEST_P(CrashRecoveryTest, RestartedReplicaConvergesViaCheckpointAndTruncatedLog)
     void restart() override { on_restart(); }
   } target;
   target.on_crash = [&] {
+    // The crash is anchored to A's delivery clock, and B's learner can lag A
+    // by more than a checkpoint interval on a loaded host. Hold the crash
+    // until B has reported a checkpoint, so the log is always truncated
+    // behind a quorum-stable horizon while B is down. This runs on A's
+    // learner thread outside its lock, so B keeps delivering meanwhile.
+    const auto until = std::chrono::steady_clock::now() + 10s;
+    while (!b_checkpointed.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(1ms);
+    }
     group.crash_learner(b_first_learner);
     b->replica->stop();
   };
