@@ -32,7 +32,7 @@ struct HarnessConfig {
   // Scheduler under test.
   unsigned workers = 1;
   core::ConflictMode mode = core::ConflictMode::kKeysNested;
-  core::IndexMode index = core::IndexMode::kAuto;
+  core::IndexMode index = core::IndexMode::kIndexed;
   // Workload shape.
   std::size_t batch_size = 1;
   bool use_bitmap = false;

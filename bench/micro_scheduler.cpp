@@ -22,7 +22,6 @@
 #include "core/dependency_graph.hpp"
 #include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "smr/batch_former.hpp"
@@ -360,33 +359,43 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, IndexMode 
   return m;
 }
 
-struct ShardedMeasurement {
+/// Worker count of a partition row: one per partition, and the monitor
+/// baseline at S = 1 runs kPartitionBaselineWorkers.
+constexpr unsigned kPartitionBaselineWorkers = 4;
+constexpr unsigned partition_workers(unsigned partitions) {
+  return partitions == 1 ? kPartitionBaselineWorkers : partitions;
+}
+
+struct PartitionedMeasurement {
   double delivery_kcmds_per_sec = 0.0;
   double cross_fraction = 0.0;
   psmr::obs::Snapshot final_metrics;
 };
 
-/// Delivery throughput through the ShardedScheduler on a partition-friendly
-/// workload: conflict-free kUpdate batches whose keys all hash into one
-/// target shard (round-robin across shards), mode keys-nested + scan so the
-/// per-insert cost is O(resident-in-shard) — the serialization cost that
-/// sharding divides by S. Workers (total split across shards) are pinned on
-/// per-shard sentinel batches while the delivery loop is timed, exactly
-/// like measure_scheduler_throughput; S=1 is the single-scheduler baseline.
-/// `cross_fraction` makes every (1/f)-th batch span two shards, paying the
-/// deterministic rendezvous gate.
-ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_workers,
-                                              std::size_t batch_size,
-                                              std::size_t n_batches,
-                                              double cross_fraction) {
-  const unsigned per_shard_workers = std::max(1u, total_workers / shards);
+/// Delivery throughput of a key-hash-partitioned replica on a
+/// partition-friendly workload: conflict-free kUpdate batches whose keys all
+/// hash into one target partition of ConflictClassMap::uniform(S)
+/// (round-robin across partitions). S > 1 runs the EarlyScheduler over that
+/// map with one class worker per partition, so delivery is a queue push;
+/// S = 1 is the single monitor Scheduler baseline (keys-nested, indexed)
+/// with kPartitionBaselineWorkers workers. Workers are pinned on sentinel
+/// batches while the delivery loop is timed, exactly like
+/// measure_scheduler_throughput. `cross_fraction` makes every (1/f)-th
+/// batch span two partitions, paying the deterministic rendezvous gate.
+PartitionedMeasurement measure_partitioned_throughput(unsigned partitions,
+                                                      std::size_t batch_size,
+                                                      std::size_t n_batches,
+                                                      double cross_fraction) {
+  const auto map = std::make_shared<const psmr::smr::ConflictClassMap>(
+      psmr::smr::ConflictClassMap::uniform(partitions));
+  const unsigned workers = partition_workers(partitions);
 
   // Partition-friendly key source: walk the key space and keep the keys
-  // hashing into the requested shard (~S probes per key). Every key is
+  // hashing into the requested partition (~S probes per key). Every key is
   // distinct, so all batches are conflict-free.
   std::uint64_t key_cursor = 1;
-  auto next_key_in_shard = [&](unsigned target) {
-    while (psmr::smr::shard_of_key(key_cursor, shards) != target) ++key_cursor;
+  auto next_key_in = [&](unsigned target) {
+    while (map->class_of_key(key_cursor) != target) ++key_cursor;
     return key_cursor++;
   };
   auto make_partition_batch = [&](std::uint64_t seq,
@@ -396,90 +405,101 @@ ShardedMeasurement measure_sharded_throughput(unsigned shards, unsigned total_wo
     for (std::size_t i = 0; i < batch_size; ++i) {
       psmr::smr::Command c;
       c.type = psmr::smr::OpType::kUpdate;
-      c.key = next_key_in_shard(targets[i % targets.size()]);
+      c.key = next_key_in(targets[i % targets.size()]);
       cmds.push_back(c);
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
     // Stamped at formation time, as the proxy does.
-    b->stamp(psmr::smr::PlacementMaps{shards, nullptr});
+    b->stamp(*map);
     return b;
   };
 
   std::uint64_t seq = 0;
   std::vector<psmr::smr::BatchPtr> pinned;
-  for (unsigned s = 0; s < shards; ++s) {
-    for (unsigned w = 0; w < per_shard_workers; ++w) {
-      pinned.push_back(make_partition_batch(++seq, {s}));
-    }
+  for (unsigned w = 0; w < workers; ++w) {
+    pinned.push_back(make_partition_batch(++seq, {w % partitions}));
   }
   const std::size_t cross_period =
-      cross_fraction > 0.0 && shards > 1
+      cross_fraction > 0.0 && partitions > 1
           ? std::max<std::size_t>(1, static_cast<std::size_t>(1.0 / cross_fraction))
           : 0;
   std::vector<psmr::smr::BatchPtr> batches;
   batches.reserve(n_batches);
   for (std::size_t i = 0; i < n_batches; ++i) {
-    const auto target = static_cast<unsigned>(i % shards);
+    const auto target = static_cast<unsigned>(i % partitions);
     if (cross_period != 0 && i % cross_period == 0) {
       batches.push_back(
-          make_partition_batch(++seq, {target, (target + 1) % shards}));
+          make_partition_batch(++seq, {target, (target + 1) % partitions}));
     } else {
       batches.push_back(make_partition_batch(++seq, {target}));
     }
   }
 
   psmr::core::SchedulerOptions sopts;
-  sopts.workers = per_shard_workers;
-  sopts.shards = shards;
+  sopts.workers = workers;
   sopts.mode = ConflictMode::kKeysNested;
-  sopts.index = IndexMode::kScan;
-  const TimedDelivery run = timed_delivery<psmr::core::ShardedScheduler>(
+  PartitionedMeasurement m;
+  if (partitions == 1) {
+    const TimedDelivery run = timed_delivery<psmr::core::Scheduler>(
+        std::move(sopts), std::move(pinned), std::move(batches));
+    m.delivery_kcmds_per_sec = run.kcmds_per_sec(n_batches * batch_size);
+    m.final_metrics = run.after;
+    return m;
+  }
+  sopts.class_map = map;
+  const TimedDelivery run = timed_delivery<psmr::core::EarlyScheduler>(
       std::move(sopts), std::move(pinned), std::move(batches));
-
-  ShardedMeasurement m;
   m.delivery_kcmds_per_sec = run.kcmds_per_sec(n_batches * batch_size);
-  m.cross_fraction = run.after.gauge("scheduler.cross_shard_fraction");
+  const auto delivered = run.after.counter("scheduler.batches_delivered");
+  m.cross_fraction =
+      delivered == 0 ? 0.0
+                     : static_cast<double>(run.after.counter("early.batches_multi_class")) /
+                           static_cast<double>(delivered);
   m.final_metrics = run.after;
   return m;
 }
 
-/// The shard sweep's resolved configuration — one source of truth for the
-/// measurement loop AND the `--shards` JSON header, so the header always
+/// The partition sweep's resolved configuration — one source of truth for
+/// the measurement loop AND the `--shards` JSON header, so the header always
 /// names exactly what ran.
-struct ShardRow {
-  unsigned shards;
+struct PartitionRow {
+  unsigned partitions;
   double cross;
 };
-constexpr ShardRow kShardRows[] = {{1, 0.0}, {2, 0.0}, {4, 0.0}, {4, 0.05}};
-constexpr unsigned kShardTotalWorkers = 4;
+constexpr PartitionRow kPartitionRows[] = {{1, 0.0}, {2, 0.0}, {4, 0.0}, {4, 0.05}};
 
-/// The shard-scaling rows (ISSUE 5 acceptance: >= 1.5x delivery throughput
-/// at S=4 on a partition-friendly workload). Shared between the full
-/// `--json` run (section of BENCH_scheduler.json) and the `--shards` smoke
-/// target (own file, so parallel ctest runs never race on one path).
-void write_sharded_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) {
+const char* partitioned_scheduler_name(unsigned partitions) {
+  return partitions == 1 ? "monitor" : "early-uniform";
+}
+
+/// The partition-scaling rows. Shared between the full `--json` run
+/// (section of BENCH_scheduler.json) and the `--shards` smoke target (own
+/// file, so parallel ctest runs never race on one path).
+void write_partitioned_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics) {
   const std::size_t n = smoke ? 300 : 2000;
   const std::size_t batch_size = 16;
   double baseline = 0.0;
   bool first = true;
-  for (const ShardRow& r : kShardRows) {
-    const ShardedMeasurement m =
-        measure_sharded_throughput(r.shards, kShardTotalWorkers, batch_size, n, r.cross);
-    if (r.shards == 1) baseline = m.delivery_kcmds_per_sec;
+  for (const PartitionRow& r : kPartitionRows) {
+    const PartitionedMeasurement m =
+        measure_partitioned_throughput(r.partitions, batch_size, n, r.cross);
+    if (r.partitions == 1) baseline = m.delivery_kcmds_per_sec;
     const double speedup = baseline > 0.0 ? m.delivery_kcmds_per_sec / baseline : 0.0;
     std::fprintf(f,
-                 "%s    {\"mode\": \"keys-nested\", \"index\": \"scan\", \"shards\": %u, "
-                 "\"workers_per_shard\": %u, \"batch_size\": %zu, \"batches\": %zu, "
-                 "\"cross_shard_fraction\": %.3f, "
+                 "%s    {\"scheduler\": \"%s\", \"mode\": \"keys-nested\", "
+                 "\"index\": \"indexed\", \"partitions\": %u, \"workers\": %u, "
+                 "\"batch_size\": %zu, \"batches\": %zu, "
+                 "\"cross_partition_fraction\": %.3f, "
                  "\"delivery_kcmds_per_sec\": %.1f, \"speedup_vs_single\": %.2f}",
-                 first ? "" : ",\n", r.shards,
-                 std::max(1u, kShardTotalWorkers / r.shards), batch_size, n,
-                 m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
+                 first ? "" : ",\n", partitioned_scheduler_name(r.partitions),
+                 r.partitions, partition_workers(r.partitions),
+                 batch_size, n, m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
     first = false;
-    std::printf("sharded      shards=%u cross=%.2f: %10.1f kCmds/s "
+    std::printf("partitioned  %-13s S=%u cross=%.2f: %10.1f kCmds/s "
                 "delivery, %.2fx vs single\n",
-                r.shards, m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
+                partitioned_scheduler_name(r.partitions), r.partitions,
+                m.cross_fraction, m.delivery_kcmds_per_sec, speedup);
     if (last_metrics != nullptr) *last_metrics = m.final_metrics;
   }
 }
@@ -544,7 +564,7 @@ EarlyMeasurement measure_early_throughput(unsigned workers, std::size_t batch_si
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
     // Stamped at formation time, as the proxy does.
-    b->stamp(psmr::smr::PlacementMaps{0, map});
+    b->stamp(*map);
     return b;
   };
 
@@ -634,7 +654,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     }
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(seq);
-    b->stamp(psmr::smr::PlacementMaps{0, map});
+    b->stamp(*map);
     return b;
   };
 
@@ -647,7 +667,7 @@ EarlyMeasurement measure_zipf_throughput(unsigned workers, std::size_t batch_siz
     cmds[0].key = w * span;
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(++seq);
-    b->stamp(psmr::smr::PlacementMaps{0, map});
+    b->stamp(*map);
     pinned.push_back(std::move(b));
   }
   std::vector<psmr::smr::BatchPtr> batches;
@@ -759,15 +779,13 @@ int write_metrics_export(const char* path, const psmr::obs::Snapshot& snap) {
 // ---------------------------------------------------------------------------
 // `--former` mode (ISSUE 9): affinity-aware batch formation vs the paper's
 // oblivious append-until-full packing, swept over Zipf skew. The fractions
-// that gate the downstream fast paths — multi_class_fraction for the early
-// scheduler, cross_shard_fraction for the sharded gate — are computed from
-// the FORMED batches' stamps, and the formed stream is then delivered
+// that gates the downstream fast path — multi_class_fraction for the early
+// scheduler — is computed from the FORMED batches' stamps, and the formed stream is then delivered
 // through the EarlyScheduler so the throughput column shows what formation
 // buys (theta=0) and what it costs where it cannot help (theta=0.99).
 // ---------------------------------------------------------------------------
 
 constexpr unsigned kFormationWorkers = 4;
-constexpr unsigned kFormationShards = 4;
 constexpr std::size_t kFormationBatchSize = 16;
 constexpr std::uint64_t kFormationUniverse = 1ull << 20;
 constexpr double kFormationThetas[] = {0.0, 0.5, 0.99};
@@ -776,14 +794,13 @@ struct FormationMeasurement {
   std::size_t batches_formed = 0;
   double avg_batch_fill = 0.0;
   double multi_class_fraction = 0.0;
-  double cross_shard_fraction = 0.0;
   double delivery_kcmds_per_sec = 0.0;
   psmr::obs::Snapshot final_metrics;
 };
 
 /// Runs `n_commands` Zipf-drawn commands through a BatchFormer under the
-/// given policy (4-class contiguous-range map over a 2^20 universe, S=4
-/// shard stamping), then delivers the formed stream through the
+/// given policy (4-class contiguous-range map over a 2^20 universe), then
+/// delivers the formed stream through the
 /// EarlyScheduler with sentinel-pinned workers — identical plumbing for both
 /// policies, so the rows differ only in packing.
 FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
@@ -798,7 +815,7 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
   psmr::smr::BatchFormer::Config fcfg;
   fcfg.policy = policy;
   fcfg.batch_size = kFormationBatchSize;
-  fcfg.placement = psmr::smr::PlacementMaps{kFormationShards, map};
+  fcfg.class_map = map;
   fcfg.metrics = registry;
   psmr::smr::BatchFormer former(std::move(fcfg));
 
@@ -817,16 +834,14 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
 
   FormationMeasurement m;
   m.batches_formed = formed.size();
-  std::size_t multi = 0, cross = 0;
+  std::size_t multi = 0;
   for (const psmr::smr::Batch& b : formed) {
     if (__builtin_popcountll(b.class_mask()) > 1) ++multi;
-    if (__builtin_popcountll(b.shard_mask()) > 1) ++cross;
   }
   if (!formed.empty()) {
     const auto n = static_cast<double>(formed.size());
     m.avg_batch_fill = static_cast<double>(n_commands) / n;
     m.multi_class_fraction = static_cast<double>(multi) / n;
-    m.cross_shard_fraction = static_cast<double>(cross) / n;
   }
 
   // Sentinel-pinned delivery of the formed stream (same harness as the
@@ -840,7 +855,7 @@ FormationMeasurement measure_formation(psmr::smr::FormationPolicy policy,
     cmds[0].key = w * span;
     auto b = std::make_shared<psmr::smr::Batch>(std::move(cmds));
     b->set_sequence(++seq);
-    b->stamp(psmr::smr::PlacementMaps{kFormationShards, map});
+    b->stamp(*map);
     pinned.push_back(std::move(b));
   }
   std::vector<psmr::smr::BatchPtr> stream;
@@ -876,22 +891,19 @@ void write_formation_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics
       const FormationMeasurement m = measure_formation(policy, theta, n_commands);
       std::fprintf(f,
                    "%s    {\"zipf_theta\": %.2f, \"policy\": \"%s\", "
-                   "\"workers\": %u, \"shards\": %u, \"batch_size\": %zu, "
+                   "\"workers\": %u, \"batch_size\": %zu, "
                    "\"commands\": %zu, \"batches_formed\": %zu, "
                    "\"avg_batch_fill\": %.2f, \"multi_class_fraction\": %.4f, "
-                   "\"cross_shard_fraction\": %.4f, "
                    "\"delivery_kcmds_per_sec\": %.1f}",
                    first ? "" : ",\n", theta, psmr::smr::to_string(policy),
-                   kFormationWorkers, kFormationShards, kFormationBatchSize,
-                   n_commands, m.batches_formed, m.avg_batch_fill,
-                   m.multi_class_fraction, m.cross_shard_fraction,
+                   kFormationWorkers, kFormationBatchSize, n_commands,
+                   m.batches_formed, m.avg_batch_fill, m.multi_class_fraction,
                    m.delivery_kcmds_per_sec);
       first = false;
       std::printf("formation    theta=%.2f %-9s: %6zu batches, fill %5.2f, "
-                  "multi-class %.4f, cross-shard %.4f, %10.1f kCmds/s\n",
+                  "multi-class %.4f, %10.1f kCmds/s\n",
                   theta, psmr::smr::to_string(policy), m.batches_formed,
-                  m.avg_batch_fill, m.multi_class_fraction,
-                  m.cross_shard_fraction, m.delivery_kcmds_per_sec);
+                  m.avg_batch_fill, m.multi_class_fraction, m.delivery_kcmds_per_sec);
       if (last_metrics != nullptr) *last_metrics = m.final_metrics;
     }
   }
@@ -900,12 +912,11 @@ void write_formation_rows(FILE* f, bool smoke, psmr::obs::Snapshot* last_metrics
 std::string formation_config_json() {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "{\"workers\": %u, \"shards\": %u, \"batch_size\": %zu, "
+                "{\"workers\": %u, \"batch_size\": %zu, "
                 "\"classes\": %u, \"key_universe\": %llu, "
                 "\"policies\": [\"oblivious\", \"affinity\"], "
                 "\"zipf_thetas\": [0.0, 0.5, 0.99]}",
-                kFormationWorkers, kFormationShards, kFormationBatchSize,
-                kFormationWorkers,
+                kFormationWorkers, kFormationBatchSize, kFormationWorkers,
                 static_cast<unsigned long long>(kFormationUniverse));
   return buf;
 }
@@ -1079,9 +1090,9 @@ int checkpoints_main(bool smoke, const char* metrics_path) {
   return write_metrics_export(metrics_path, last_metrics);
 }
 
-/// `--shards` mode: only the shard-scaling rows, written to
-/// BENCH_scheduler_shards.json (+ the sharded run's psmr.metrics.v1 export
-/// for the schema fixture).
+/// `--shards` mode: only the partition-scaling rows, written to
+/// BENCH_scheduler_shards.json (+ the last row's psmr.metrics.v1 export,
+/// METRICS_sharded_scheduler.json, for the schema fixture).
 int shards_main(bool smoke, const char* metrics_path) {
   // Resolved configuration header: what actually runs, derived from the
   // same row table the measurement loop iterates.
@@ -1089,17 +1100,17 @@ int shards_main(bool smoke, const char* metrics_path) {
   {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "{\"total_workers\": %u, \"mode\": \"keys-nested\", "
-                  "\"index\": \"scan\", \"rows\": [",
-                  kShardTotalWorkers);
+                  "{\"map\": \"uniform\", \"mode\": \"keys-nested\", "
+                  "\"index\": \"indexed\", \"rows\": [");
     config += buf;
-    for (std::size_t i = 0; i < std::size(kShardRows); ++i) {
-      const ShardRow& r = kShardRows[i];
+    for (std::size_t i = 0; i < std::size(kPartitionRows); ++i) {
+      const PartitionRow& r = kPartitionRows[i];
       std::snprintf(buf, sizeof(buf),
-                    "%s{\"shards\": %u, \"workers_per_shard\": %u, "
-                    "\"cross_shard_fraction\": %.3f}",
-                    i == 0 ? "" : ", ", r.shards,
-                    std::max(1u, kShardTotalWorkers / r.shards), r.cross);
+                    "%s{\"scheduler\": \"%s\", \"partitions\": %u, \"workers\": %u, "
+                    "\"cross_partition_fraction\": %.3f}",
+                    i == 0 ? "" : ", ", partitioned_scheduler_name(r.partitions),
+                    r.partitions,
+                    partition_workers(r.partitions), r.cross);
       config += buf;
     }
     config += "]}";
@@ -1107,9 +1118,9 @@ int shards_main(bool smoke, const char* metrics_path) {
   FILE* f = open_bench_file("BENCH_scheduler_shards.json",
                             "micro_scheduler_shards", smoke, nullptr, config);
   if (f == nullptr) return 1;
-  std::fprintf(f, "  \"sharded_scheduler\": [\n");
+  std::fprintf(f, "  \"partitioned_scheduler\": [\n");
   psmr::obs::Snapshot last_metrics;
-  write_sharded_rows(f, smoke, &last_metrics);
+  write_partitioned_rows(f, smoke, &last_metrics);
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("wrote BENCH_scheduler_shards.json\n");
@@ -1237,8 +1248,8 @@ int json_main(bool smoke, const char* metrics_path) {
   write_early_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ],\n  \"zipf_sweep\": [\n");
   write_zipf_rows(f, smoke, /*extra_theta=*/-1.0);
-  std::fprintf(f, "\n  ],\n  \"sharded_scheduler\": [\n");
-  write_sharded_rows(f, smoke, nullptr);
+  std::fprintf(f, "\n  ],\n  \"partitioned_scheduler\": [\n");
+  write_partitioned_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ],\n  \"checkpoint_sweep\": [\n");
   write_checkpoint_rows(f, smoke, nullptr);
   std::fprintf(f, "\n  ]\n}\n");

@@ -1,8 +1,7 @@
 // Backpressure admission and watermark instrumentation for the delivery
-// queues of all four scheduler variants (DESIGN.md §14). Each variant owns
-// one meter (the ShardedScheduler's per-shard engines each own their own;
-// they merge under shard.N.backpressure.* like every other per-shard
-// family). The mode policy — kReject / kBlockWithDeadline / kBlock and its
+// queues of every scheduler variant (DESIGN.md §14). Each variant owns one
+// meter (the EarlyScheduler's fallback engine owns its own, merged under
+// fallback.backpressure.*). The mode policy — kReject / kBlockWithDeadline / kBlock and its
 // wait/reject/deadline metering — lives in admit(); a variant supplies only
 // its room predicate and how it waits.
 //

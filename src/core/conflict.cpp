@@ -20,7 +20,6 @@ const char* to_string(IndexMode m) noexcept {
   switch (m) {
     case IndexMode::kScan: return "scan";
     case IndexMode::kIndexed: return "indexed";
-    case IndexMode::kAuto: return "auto";
   }
   return "?";
 }

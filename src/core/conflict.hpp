@@ -46,12 +46,10 @@ enum class IndexMode : std::uint8_t {
   /// positions (hashed keys, or bitmap digest bits). A probe that misses
   /// the aggregate skips all pairwise tests in one pass; otherwise only the
   /// batches sharing a set position are tested. No false negatives: two
-  /// batches can only conflict if they share a position.
+  /// batches can only conflict if they share a position. Key modes and
+  /// unified bitmap digests are indexable; the first non-indexable batch (a
+  /// split read/write digest) permanently falls the graph back to kScan.
   kIndexed = 1,
-  /// kIndexed whenever the batches support it (key modes always; bitmap
-  /// modes with unified digests), degrading to kScan the first time a
-  /// non-indexable batch (split read/write digest) arrives.
-  kAuto = 2,
 };
 
 const char* to_string(IndexMode m) noexcept;

@@ -10,7 +10,7 @@
 // status so a batch under execution stays visible to conflict detection.
 //
 // On top of Algorithm 1, the graph can maintain an INVERTED INDEX over
-// conflict positions (IndexMode::kIndexed / kAuto): an aggregate bitmap —
+// conflict positions (IndexMode::kIndexed): an aggregate bitmap —
 // the OR of every resident batch's positions, kept exact by using the
 // posting lists as per-bit refcounts — and a position -> posting-list map.
 // An incoming batch whose positions miss the aggregate is provably
@@ -97,7 +97,7 @@ class DependencyGraph {
     bool fell_back_to_scan = false;
   };
 
-  explicit DependencyGraph(ConflictMode mode, IndexMode index = IndexMode::kAuto);
+  explicit DependencyGraph(ConflictMode mode, IndexMode index = IndexMode::kIndexed);
 
   DependencyGraph(const DependencyGraph&) = delete;
   DependencyGraph& operator=(const DependencyGraph&) = delete;
@@ -154,7 +154,7 @@ class DependencyGraph {
   ConflictMode mode() const noexcept { return detector_.mode(); }
 
   /// Configured index mode and whether the index is currently maintained
-  /// (kAuto may have degraded to scanning).
+  /// (kIndexed may have fallen back to scanning).
   IndexMode index_mode() const noexcept { return index_mode_; }
   bool index_active() const noexcept { return index_active_; }
   const IndexStats& index_stats() const noexcept { return index_stats_; }

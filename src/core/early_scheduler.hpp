@@ -12,17 +12,21 @@
 // owned by one worker — is then a single queue push: no graph, no probe, no
 // shared monitor.
 //
+// Over ConflictClassMap::uniform(S) with S workers this is the
+// key-hash-partitioned replica: class c is the keys with
+// reduce_range(mix64(key), S) == c, owned by worker c, and a batch spanning
+// several partitions takes the multi-class path below.
+//
 // Three delivery paths, chosen per batch from its touched-class mask
-// (stamped at batch formation by the Proxy, like the touched-shard mask):
+// (stamped at batch formation by the Proxy):
 //
 //   1. FAST PATH — all classes owned by one worker: push onto that
 //      worker's queue. Each queue is filled only by the (single) delivery
 //      thread and drained only by its worker, in FIFO order.
 //   2. MULTI-CLASS — classes owned by several workers: every touched
 //      worker receives the batch plus a rendezvous gate keyed by the
-//      delivery sequence (core::RendezvousGates, shared with the
-//      ShardedScheduler); the lowest touched participant runs the executor
-//      exactly once.
+//      delivery sequence (core::RendezvousGates); the lowest touched
+//      participant runs the executor exactly once.
 //   3. FALLBACK — the batch touches an unclassified key: it is inserted
 //      into an embedded graph Scheduler, recovering the paper's general
 //      mechanism. A batch that ALSO touches classified classes rendezvouses
@@ -108,7 +112,7 @@ class EarlyScheduler {
 
   /// Checkpoint barrier (DESIGN.md §12/§13). Arms every class worker and
   /// the fallback engine at `seq` first, then waits. Call from the
-  /// delivery thread, like ShardedScheduler::drain_to_sequence.
+  /// delivery thread, which is the only inserter.
   void begin_barrier(std::uint64_t seq);
   void await_barrier();
   void release_barrier();

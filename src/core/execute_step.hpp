@@ -1,6 +1,6 @@
 // The fault-isolated execute step (DESIGN.md §7), shared by every scheduler
 // variant. A variant differs in how it finds the next batch — monitor graph,
-// single-owner graph, shard routing, class routing — but what happens once
+// single-owner graph, class routing — but what happens once
 // a worker holds one is decided here, once: run the executor without
 // letting an exception escape, stamp the tracer, account the outcome in the
 // `scheduler.*` counters, and report a failure to the on_failure hook.

@@ -1,9 +1,9 @@
-// The delivery-sequence-keyed rendezvous gate (DESIGN.md §11.1), shared by
-// the ShardedScheduler (cross-shard batches) and the EarlyScheduler
-// (multi-class batches, Early Scheduling in PSMR, arXiv 1805.05152).
+// The delivery-sequence-keyed rendezvous gate (DESIGN.md §13.1) of the
+// EarlyScheduler's multi-class batches (Early Scheduling in PSMR, arXiv
+// 1805.05152).
 //
-// A batch held by several participants (shards, or class workers plus the
-// fallback graph engine) runs exactly once:
+// A batch held by several participants (class workers, plus the fallback
+// graph engine) runs exactly once:
 //   * the lowest participant leads: it runs the batch once every
 //     participant has arrived, i.e. once every delivery-order predecessor
 //     that shares a participant with the batch is done;

@@ -70,12 +70,6 @@ bool Scheduler::deliver(smr::BatchPtr batch) {
   return true;
 }
 
-bool Scheduler::has_space() const {
-  if (config_.max_pending_batches == 0) return true;
-  std::lock_guard lk(mu_);
-  return graph_.size() < config_.max_pending_batches;
-}
-
 bool Scheduler::wait_for_space() {
   if (config_.max_pending_batches == 0) return true;
   std::unique_lock lk(mu_);
@@ -91,11 +85,9 @@ void Scheduler::wait_idle() {
 
 void Scheduler::stop() {
   {
+    // Idempotent: a second stop() (or the destructor) finds nothing left to
+    // join.
     std::lock_guard lk(mu_);
-    if (stopping_) {
-      // Already stopping; fall through to join (idempotence for callers
-      // racing the destructor).
-    }
     stopping_ = true;
   }
   batch_ready_.notify_all();
@@ -183,11 +175,9 @@ void Scheduler::worker_loop(unsigned worker_index) {
         can_take_locked() ? graph_.take_oldest_free_leq(take_limit_locked())
                           : nullptr;
     if (node == nullptr) {
+      // Stopping with batches left: drain them (blocked ones wait for the
+      // taken batches peers are executing).
       if (stopping_ && graph_.empty()) return;
-      if (stopping_ && graph_.num_free() == 0 && graph_.size() > 0) {
-        // Drain mode: remaining batches are blocked on taken ones being
-        // executed by peers; wait for them to finish.
-      }
       batch_ready_.wait(lk, [&] {
         // A free batch beyond an armed barrier is NOT takeable — workers
         // park here until release_barrier() re-opens the gate. The

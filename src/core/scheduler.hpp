@@ -59,16 +59,11 @@ class Scheduler {
   /// re-offer it later, provided overall delivery order is preserved.
   bool deliver(smr::BatchPtr batch);
 
-  /// True when deliver() would accept a batch right now without waiting.
-  /// Advisory for arbitrary threads; authoritative from the delivery thread
-  /// (the sole inserter — workers only shrink the graph).
-  bool has_space() const;
-
   /// Runs the configured backpressure policy without inserting anything:
   /// returns true once the graph has room for one more batch (false on
   /// reject/deadline/stop). Delivery thread only — the space secured here
-  /// persists until that thread's next insert. Used by the ShardedScheduler
-  /// to secure space on every touched shard before delivering any leg.
+  /// persists until that thread's next insert. Used by the EarlyScheduler
+  /// to secure space on its fallback engine before pushing any gate leg.
   bool wait_for_space();
 
   /// Blocks until every delivered batch has been executed and removed.

@@ -1,7 +1,6 @@
 // One construction surface for every scheduler variant: the monitor
-// Scheduler, PipelinedScheduler, ShardedScheduler and EarlyScheduler all
-// take this options struct, so a knob cannot silently exist for one
-// variant and not another.
+// Scheduler, PipelinedScheduler and EarlyScheduler all take this options
+// struct, so a knob cannot silently exist for one variant and not another.
 #pragma once
 
 #include <chrono>
@@ -36,15 +35,8 @@ enum class BackpressureMode : std::uint8_t {
 };
 
 struct SchedulerOptions {
-  /// Number of worker threads N. For the ShardedScheduler this is the pool
-  /// size PER SHARD (total execution threads = shards * workers).
+  /// Number of worker threads N.
   unsigned workers = 1;
-
-  /// Key-space partitions of the ShardedScheduler (DESIGN.md §11): each
-  /// shard owns an independent dependency graph, monitor, and worker pool.
-  /// Capped at 64 so a batch's touched-shard set fits one mask word. The
-  /// single-graph Scheduler and PipelinedScheduler ignore it.
-  unsigned shards = 1;
 
   /// Conflict detection mechanism (the paper's `useBitmap` switch,
   /// generalized).
@@ -52,7 +44,7 @@ struct SchedulerOptions {
 
   /// How insert finds the resident batches to test against (orthogonal to
   /// `mode`; never changes the resulting graph — see IndexMode).
-  IndexMode index = IndexMode::kAuto;
+  IndexMode index = IndexMode::kIndexed;
 
   /// Backpressure: deliver() blocks while the graph holds this many batches
   /// (0 = unbounded). Keeps an over-driven scheduler from accumulating
@@ -82,9 +74,8 @@ struct SchedulerOptions {
   /// single-batch execution — one batch in flight at a time, delivery order
   /// — instead of crashing or wedging. 0 disables the circuit (failures are
   /// still isolated and counted). Honoured by every variant through the
-  /// shared core::CircuitBreaker (the ShardedScheduler per shard engine,
-  /// the EarlyScheduler over its class workers and, separately, inside its
-  /// fallback engine).
+  /// shared core::CircuitBreaker (the EarlyScheduler over its class workers
+  /// and, separately, inside its fallback engine).
   unsigned circuit_failure_threshold = 0;
 
   /// Half-open recovery for the circuit breaker: while degraded, this many
@@ -122,9 +113,8 @@ struct SchedulerOptions {
   /// early for a better failure location.
   void validate() const {
     PSMR_CHECK(workers >= 1);
-    PSMR_CHECK(shards >= 1 && shards <= 64);
     PSMR_CHECK(static_cast<unsigned>(mode) <= static_cast<unsigned>(ConflictMode::kBitmapSparse));
-    PSMR_CHECK(static_cast<unsigned>(index) <= static_cast<unsigned>(IndexMode::kAuto));
+    PSMR_CHECK(static_cast<unsigned>(index) <= static_cast<unsigned>(IndexMode::kIndexed));
     PSMR_CHECK(static_cast<unsigned>(backpressure) <=
                static_cast<unsigned>(BackpressureMode::kReject));
     PSMR_CHECK(backpressure_deadline.count() >= 0);

@@ -50,8 +50,9 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
   PSMR_CHECK(cfg.cross_shard_fraction >= 0.0 && cfg.cross_shard_fraction <= 1.0);
 
   // One real dependency graph — and one serial monitor resource — per
-  // shard (DESIGN.md §11). S = 1 degenerates to the original single-
-  // scheduler model with every batch in shard 0.
+  // shard: a virtual-time model of key-hash partitioning (DESIGN.md §11).
+  // S = 1 degenerates to the original single-scheduler model with every
+  // batch in shard 0.
   const unsigned S = cfg.shards;
   std::vector<std::unique_ptr<core::DependencyGraph>> graphs;
   graphs.reserve(S);
@@ -171,10 +172,11 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
                          cfg.cross_shard_fraction;
         const std::uint64_t deliver_start = std::max(now, delivery_free_at) + cfg.delivery_ns;
         // The batch's node lives in its leader shard's graph (shard 0 for
-        // cross-shard batches: the lowest touched shard leads, DESIGN.md
-        // §11); the barrier is modelled by charging the insert to EVERY
-        // touched monitor, which delays those shards' takes past the
-        // batch's enqueue point, exactly like the real gate's arrival.
+        // cross-shard batches: the lowest touched participant leads the
+        // rendezvous gate, DESIGN.md §13.5); the barrier is modelled by
+        // charging the insert to EVERY touched monitor, which delays those
+        // shards' takes past the batch's enqueue point, exactly like the
+        // real gate's arrival.
         const unsigned leader = cross ? 0 : home;
         core::DependencyGraph& graph = *graphs[leader];
         const std::uint64_t start = std::max(deliver_start, monitor_free_at[leader]);

@@ -29,10 +29,9 @@
 namespace psmr::sim {
 
 struct ExecSimConfig {
-  /// Virtual worker threads N (per shard when `shards` > 1, matching
-  /// core::ShardedScheduler's SchedulerOptions::workers semantics).
+  /// Virtual worker threads N (per shard when `shards` > 1).
   unsigned workers = 1;
-  /// Scheduler shards S (DESIGN.md §11). Each shard gets its own real
+  /// Modelled key-hash partitions S (DESIGN.md §11). Each shard gets its own real
   /// dependency graph and its own serial monitor resource on the virtual
   /// timeline. The workload is modelled as partition-friendly: proxy p's
   /// (disjoint-range) batches are routed to shard p mod S, except that a

@@ -9,6 +9,7 @@
 // with no command executed twice.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -111,10 +112,12 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
   // Replica B: crashes after the repartition decide, before the next
   // checkpoint covers it.
   std::mutex b_mu;
+  std::atomic<bool> b_checkpointed{false};
   std::unique_ptr<Incarnation> b = std::make_unique<Incarnation>(kCheckpointInterval);
   b->replica->checkpoints()->set_on_checkpoint(
       [&](const smr::CheckpointPtr& record) {
         const std::uint64_t stable = quorum.note(1, record->log_horizon);
+        b_checkpointed.store(true);
         if (stable > 1) group.truncate_log_below(stable);
       });
   const std::size_t b_first_learner = 1;
@@ -133,6 +136,16 @@ TEST(RepartitionRecoveryTest, RejoinedReplicaConvergesToRepartitionedMap) {
     void restart() override { on_restart(); }
   } target;
   target.on_crash = [&] {
+    // The crash is anchored to A's delivery clock, and B's learner can lag A
+    // by more than a checkpoint interval on a loaded host; B's first
+    // incarnation is the only one that reports to the quorum. Hold the
+    // crash until B has reported a checkpoint, so the log is always
+    // truncated behind a quorum-stable horizon. This runs on A's learner
+    // thread outside its lock, so B keeps delivering meanwhile.
+    const auto until = std::chrono::steady_clock::now() + 10s;
+    while (!b_checkpointed.load() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(1ms);
+    }
     group.crash_learner(b_first_learner);
     b->replica->stop();
   };

@@ -8,13 +8,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 
 namespace psmr::core {
 namespace {
@@ -207,22 +207,28 @@ TEST(Backpressure, PipelinedBlockWithDeadlineThenBlockSucceeds) {
   s.stop();
 }
 
-// ---------------------------------------------------------------- sharded
+// ------------------------------------------- key-hash partitioned (early)
+
+/// Two key-hash partitions, one class worker each (DESIGN.md §11).
+SchedulerOptions two_partitions() {
+  SchedulerOptions cfg;
+  cfg.workers = 2;
+  cfg.class_map = std::make_shared<const smr::ConflictClassMap>(
+      smr::ConflictClassMap::uniform(2));
+  cfg.max_pending_batches = 2;  // per partition worker
+  cfg.backpressure = BackpressureMode::kReject;
+  return cfg;
+}
 
 TEST(Backpressure, ShardedRejectsOnFullShard) {
   GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.shards = 2;
-  cfg.max_pending_batches = 2;  // per shard engine
-  cfg.backpressure = BackpressureMode::kReject;
-  ShardedScheduler s(cfg, gate.fn());
+  EarlyScheduler s(two_partitions(), gate.fn());
   s.start();
 
   std::uint64_t seq = 0;
   std::uint64_t admitted = 0;
-  // Distinct keys spread over both shards; with 2-deep engines at most 4
-  // single-shard batches fit before SOME deliver is rejected.
+  // Distinct keys spread over both partitions; with 2-deep worker queues at
+  // most 4 single-partition batches fit before SOME deliver is rejected.
   for (std::uint64_t k = 1; k <= 16; ++k) {
     if (s.deliver(make_batch(++seq, {k * 7919}))) ++admitted;
   }
@@ -232,17 +238,18 @@ TEST(Backpressure, ShardedRejectsOnFullShard) {
   gate.release.store(true);
   s.wait_idle();
   // Exactly the admitted batches executed — a rejected deliver left nothing
-  // behind in any shard.
+  // behind in any partition.
   EXPECT_EQ(gate.executed.load(), admitted);
-  // Per-shard meters merge under shard.N.backpressure.*; sum the family.
+  // The fallback engine's meter merges under fallback.backpressure.*; sum
+  // the family.
   const auto st = s.stats();
   EXPECT_GE(st.counter_sum("backpressure.rejects"), 1u);
   s.stop();
 }
 
 TEST(Backpressure, ShardedMultiShardRejectLeavesNoOrphanLegs) {
-  // Find two keys living in different shards (the batch spanning both gets
-  // shard mask 0b11).
+  // Find two keys living in different partitions (the batch spanning both
+  // gets class mask 0b11).
   smr::Key key_a = 0, key_b = 0;
   for (smr::Key k = 1; k < 1000 && (key_a == 0 || key_b == 0); ++k) {
     smr::Batch probe({[&] {
@@ -251,29 +258,24 @@ TEST(Backpressure, ShardedMultiShardRejectLeavesNoOrphanLegs) {
       c.key = k;
       return c;
     }()});
-    probe.stamp(smr::PlacementMaps{2, nullptr});
-    if (probe.shard_mask() == 0b01 && key_a == 0) key_a = k;
-    if (probe.shard_mask() == 0b10 && key_b == 0) key_b = k;
+    probe.stamp(smr::ConflictClassMap::uniform(2));
+    if (probe.class_mask() == 0b01 && key_a == 0) key_a = k;
+    if (probe.class_mask() == 0b10 && key_b == 0) key_b = k;
   }
   ASSERT_NE(key_a, 0u);
   ASSERT_NE(key_b, 0u);
 
   GatedExecutor gate;
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.shards = 2;
-  cfg.max_pending_batches = 2;
-  cfg.backpressure = BackpressureMode::kReject;
-  ShardedScheduler s(cfg, gate.fn());
+  EarlyScheduler s(two_partitions(), gate.fn());
   s.start();
 
-  // Fill shard A to capacity.
+  // Fill partition A to capacity.
   ASSERT_TRUE(s.deliver(make_batch(1, {key_a})));
   ASSERT_TRUE(s.deliver(make_batch(2, {key_a})));
-  // A cross-shard batch must be rejected as a WHOLE: shard A is full, so
-  // shard B must not receive a gate leg either.
+  // A cross-partition batch must be rejected as a WHOLE: partition A is
+  // full, so partition B must not receive a gate leg either.
   EXPECT_FALSE(s.deliver(make_batch(3, {key_a, key_b})));
-  // Shard B still has its full capacity — and no orphaned rendezvous leg
+  // Partition B still has its full capacity — and no orphaned rendezvous leg
   // that would wedge these batches forever.
   ASSERT_TRUE(s.deliver(make_batch(4, {key_b})));
   ASSERT_TRUE(s.deliver(make_batch(5, {key_b})));

@@ -36,9 +36,7 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp != nullptr) {
-    b->stamp(smr::PlacementMaps{0, std::make_shared<const smr::ConflictClassMap>(*stamp)});
-  }
+  if (stamp != nullptr) b->stamp(*stamp);
   return b;
 }
 

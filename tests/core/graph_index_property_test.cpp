@@ -238,11 +238,11 @@ TEST(GraphIndexProperty, BitmapModesNeverMissKeyModeConflicts) {
 }
 
 TEST(GraphIndexProperty, AutoDegradesToScanOnSplitDigests) {
-  // Split read/write digests carry no position list; a kAuto graph must
+  // Split read/write digests carry no position list; a kIndexed graph must
   // permanently fall back to scanning and still match the scan graph.
   WorkloadConfig wl;
   wl.split_read_write = true;
-  DependencyGraph auto_graph(ConflictMode::kBitmap, IndexMode::kAuto);
+  DependencyGraph auto_graph(ConflictMode::kBitmap, IndexMode::kIndexed);
   DependencyGraph scan_graph(ConflictMode::kBitmap, IndexMode::kScan);
   util::Xoshiro256 rng(99);
   EXPECT_TRUE(auto_graph.index_active());

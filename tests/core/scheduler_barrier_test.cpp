@@ -1,5 +1,6 @@
-// Quiesce-at-sequence barrier (DESIGN.md §12) across all three scheduler
-// variants: drain_to_sequence(S) must return with EXACTLY the delivered
+// Quiesce-at-sequence barrier (DESIGN.md §12) across the monitor, pipelined
+// and key-hash-partitioned (EarlyScheduler over ConflictClassMap::uniform)
+// schedulers: drain_to_sequence(S) must return with EXACTLY the delivered
 // prefix <= S executed, hold back everything newer (including batches
 // delivered while armed — ingest keeps flowing), and release_barrier must
 // resume the held-back suffix without losing or reordering work.
@@ -7,19 +8,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <vector>
 
+#include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 
 namespace psmr::core {
 namespace {
 
 smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
-                         unsigned stamp_shards) {
+                         const smr::ConflictClassMap* stamp_map) {
   std::vector<smr::Command> cmds;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     smr::Command c;
@@ -30,14 +32,14 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp_shards != 0) b->stamp(smr::PlacementMaps{stamp_shards, nullptr});
+  if (stamp_map != nullptr) b->stamp(*stamp_map);
   return b;
 }
 
 /// Shared harness: deliver 1..10, drain at 10, deliver 11..20 while armed,
 /// verify the executed set is exactly {1..10}, release, verify {1..20}.
 template <typename S>
-void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
+void run_barrier_holds_suffix(SchedulerOptions cfg, const smr::ConflictClassMap* stamp_map) {
   std::mutex mu;
   std::set<std::uint64_t> executed;
   S s(cfg, [&](const smr::Batch& b) {
@@ -48,7 +50,7 @@ void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
   for (std::uint64_t seq = 1; seq <= 10; ++seq) {
     // Key 42 everywhere: a fully serial dependency chain, so the barrier
     // must wait through real graph dependencies, not just queue depth.
-    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq}, stamp_shards)));
+    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq}, stamp_map)));
   }
   s.drain_to_sequence(10);
   {
@@ -59,7 +61,7 @@ void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
   }
   // Ingest continues while armed; nothing newer may execute.
   for (std::uint64_t seq = 11; seq <= 20; ++seq) {
-    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq}, stamp_shards)));
+    ASSERT_TRUE(s.deliver(make_batch(seq, {42, 100 + seq}, stamp_map)));
   }
   {
     std::lock_guard lk(mu);
@@ -78,7 +80,7 @@ void run_barrier_holds_suffix(SchedulerOptions cfg, unsigned stamp_shards) {
 /// Drain on an already-executed prefix must return immediately (the
 /// trigger sequence may have finished before the barrier armed).
 template <typename S>
-void run_barrier_already_quiesced(SchedulerOptions cfg, unsigned stamp_shards) {
+void run_barrier_already_quiesced(SchedulerOptions cfg, const smr::ConflictClassMap* stamp_map) {
   std::mutex mu;
   std::set<std::uint64_t> executed;
   S s(cfg, [&](const smr::Batch& b) {
@@ -87,7 +89,7 @@ void run_barrier_already_quiesced(SchedulerOptions cfg, unsigned stamp_shards) {
   });
   s.start();
   for (std::uint64_t seq = 1; seq <= 5; ++seq) {
-    ASSERT_TRUE(s.deliver(make_batch(seq, {seq}, stamp_shards)));
+    ASSERT_TRUE(s.deliver(make_batch(seq, {seq}, stamp_map)));
   }
   s.wait_idle();
   s.drain_to_sequence(5);  // nothing resident <= 5: must not block
@@ -102,7 +104,7 @@ void run_barrier_already_quiesced(SchedulerOptions cfg, unsigned stamp_shards) {
 
 /// Back-to-back barriers — the steady-state checkpoint cadence.
 template <typename S>
-void run_repeated_barriers(SchedulerOptions cfg, unsigned stamp_shards) {
+void run_repeated_barriers(SchedulerOptions cfg, const smr::ConflictClassMap* stamp_map) {
   std::mutex mu;
   std::set<std::uint64_t> executed;
   S s(cfg, [&](const smr::Batch& b) {
@@ -113,7 +115,7 @@ void run_repeated_barriers(SchedulerOptions cfg, unsigned stamp_shards) {
   std::uint64_t seq = 0;
   for (int round = 1; round <= 5; ++round) {
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(s.deliver(make_batch(++seq, {7, 200 + seq}, stamp_shards)));
+      ASSERT_TRUE(s.deliver(make_batch(++seq, {7, 200 + seq}, stamp_map)));
     }
     s.drain_to_sequence(seq);
     {
@@ -134,54 +136,59 @@ SchedulerOptions base_options(unsigned workers) {
   return cfg;
 }
 
-SchedulerOptions sharded_options(unsigned workers, unsigned shards) {
+/// Key-hash partitioning: one class worker per uniform(S) partition.
+SchedulerOptions partitioned_options(unsigned partitions) {
   SchedulerOptions cfg;
-  cfg.workers = workers;
-  cfg.shards = shards;
+  cfg.workers = partitions;
+  cfg.class_map = std::make_shared<const smr::ConflictClassMap>(
+      smr::ConflictClassMap::uniform(partitions));
   return cfg;
 }
 
 TEST(SchedulerBarrier, HoldsSuffixMonitor) {
-  run_barrier_holds_suffix<Scheduler>(base_options(4), 0);
+  run_barrier_holds_suffix<Scheduler>(base_options(4), nullptr);
 }
 
 TEST(SchedulerBarrier, HoldsSuffixPipelined) {
-  run_barrier_holds_suffix<PipelinedScheduler>(base_options(4), 0);
+  run_barrier_holds_suffix<PipelinedScheduler>(base_options(4), nullptr);
 }
 
 TEST(SchedulerBarrier, HoldsSuffixSharded) {
-  run_barrier_holds_suffix<ShardedScheduler>(sharded_options(2, 4), 4);
+  const SchedulerOptions cfg = partitioned_options(4);
+  run_barrier_holds_suffix<EarlyScheduler>(cfg, cfg.class_map.get());
 }
 
 TEST(SchedulerBarrier, AlreadyQuiescedMonitor) {
-  run_barrier_already_quiesced<Scheduler>(base_options(2), 0);
+  run_barrier_already_quiesced<Scheduler>(base_options(2), nullptr);
 }
 
 TEST(SchedulerBarrier, AlreadyQuiescedPipelined) {
-  run_barrier_already_quiesced<PipelinedScheduler>(base_options(2), 0);
+  run_barrier_already_quiesced<PipelinedScheduler>(base_options(2), nullptr);
 }
 
 TEST(SchedulerBarrier, AlreadyQuiescedSharded) {
-  run_barrier_already_quiesced<ShardedScheduler>(sharded_options(2, 4), 4);
+  const SchedulerOptions cfg = partitioned_options(4);
+  run_barrier_already_quiesced<EarlyScheduler>(cfg, cfg.class_map.get());
 }
 
 TEST(SchedulerBarrier, RepeatedBarriersMonitor) {
-  run_repeated_barriers<Scheduler>(base_options(4), 0);
+  run_repeated_barriers<Scheduler>(base_options(4), nullptr);
 }
 
 TEST(SchedulerBarrier, RepeatedBarriersPipelined) {
-  run_repeated_barriers<PipelinedScheduler>(base_options(4), 0);
+  run_repeated_barriers<PipelinedScheduler>(base_options(4), nullptr);
 }
 
 TEST(SchedulerBarrier, RepeatedBarriersSharded) {
-  run_repeated_barriers<ShardedScheduler>(sharded_options(2, 4), 4);
+  const SchedulerOptions cfg = partitioned_options(4);
+  run_repeated_barriers<EarlyScheduler>(cfg, cfg.class_map.get());
 }
 
 TEST(SchedulerBarrier, BarrierMetricCounts) {
   SchedulerOptions cfg = base_options(2);
   Scheduler s(cfg, [](const smr::Batch&) {});
   s.start();
-  ASSERT_TRUE(s.deliver(make_batch(1, {1}, 0)));
+  ASSERT_TRUE(s.deliver(make_batch(1, {1}, nullptr)));
   s.drain_to_sequence(1);
   s.release_barrier();
   EXPECT_EQ(s.stats().counter("scheduler.barriers"), 1u);

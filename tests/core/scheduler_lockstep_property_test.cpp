@@ -1,8 +1,9 @@
 // Cross-variant lockstep property suite (graph_index_property_test
 // pattern, widened to whole schedulers): for random command streams, the
-// final KV state must be BIT-IDENTICAL across all four scheduler variants —
-// Scheduler (scan and indexed), PipelinedScheduler, ShardedScheduler and
-// EarlyScheduler — for every seed and worker count. This is the paper's
+// final KV state must be BIT-IDENTICAL across every scheduler variant —
+// Scheduler (scan and indexed), PipelinedScheduler and EarlyScheduler (its
+// uniform map is the key-hash-partitioned replica) — for every seed and
+// worker count. This is the paper's
 // replica-determinism requirement: the scheduling mechanism is an execution
 // resource, never an ordering input.
 #include <gtest/gtest.h>
@@ -15,7 +16,6 @@
 #include "core/early_scheduler.hpp"
 #include "core/pipelined_scheduler.hpp"
 #include "core/scheduler.hpp"
-#include "core/sharded_scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "smr/conflict_class.hpp"
 #include "util/rng.hpp"
@@ -78,14 +78,8 @@ TEST(SchedulerLockstepPropertyTest, AllVariantsBitIdenticalAcrossSeeds) {
       EXPECT_EQ(run_variant<Scheduler>(cfg, stream), reference)
           << "indexed Scheduler, seed=" << seed << " workers=" << workers;
 
-      cfg.index = IndexMode::kAuto;
       EXPECT_EQ(run_variant<PipelinedScheduler>(cfg, stream), reference)
           << "PipelinedScheduler, seed=" << seed << " workers=" << workers;
-
-      SchedulerOptions sharded = cfg;
-      sharded.shards = 4;
-      EXPECT_EQ(run_variant<ShardedScheduler>(sharded, stream), reference)
-          << "ShardedScheduler, seed=" << seed << " workers=" << workers;
 
       // Early scheduler under both map shapes: total (uniform) and partial
       // (hot ranges classified, fresh tail through the embedded graph).
@@ -158,12 +152,6 @@ TEST(SchedulerLockstepPropertyTest, MidRunRepartitionPreservesBitIdenticalState)
                                                             swap_seq, rebalanced),
                   reference)
             << "Pipelined, seed=" << seed << " swap=" << swap_seq;
-        SchedulerOptions sharded = cfg;
-        sharded.shards = 4;
-        EXPECT_EQ(run_variant_with_swap<ShardedScheduler>(sharded, stream,
-                                                          swap_seq, rebalanced),
-                  reference)
-            << "Sharded, seed=" << seed << " swap=" << swap_seq;
         EXPECT_EQ(run_variant_with_swap<EarlyScheduler>(cfg, stream, swap_seq,
                                                         rebalanced),
                   reference)

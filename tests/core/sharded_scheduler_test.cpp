@@ -1,18 +1,19 @@
-// ShardedScheduler correctness (DESIGN.md §11): key-partitioned execution
-// must be observationally identical to the single Scheduler — bit-identical
-// final KV state for the same delivery order, across shard counts, seeds
-// and worker counts — while executing cross-shard batches exactly once via
-// the delivery-order gate.
-#include "core/sharded_scheduler.hpp"
-
+// Key-hash-partitioned execution (DESIGN.md §11, §13): the EarlyScheduler
+// over ConflictClassMap::uniform(S), one class worker per partition, must be
+// observationally identical to the single Scheduler — bit-identical final KV
+// state for the same delivery order, across partition counts, seeds and
+// worker counts — while executing batches that span several partitions
+// exactly once via the delivery-order rendezvous gate.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
 #include "kvstore/kvstore.hpp"
 #include "util/rng.hpp"
@@ -20,8 +21,21 @@
 namespace psmr::core {
 namespace {
 
+std::shared_ptr<const smr::ConflictClassMap> uniform_map(unsigned partitions) {
+  return std::make_shared<const smr::ConflictClassMap>(
+      smr::ConflictClassMap::uniform(partitions));
+}
+
+/// S key-hash partitions, one class worker each.
+SchedulerOptions partitioned(unsigned partitions) {
+  SchedulerOptions cfg;
+  cfg.workers = partitions;
+  cfg.class_map = uniform_map(partitions);
+  return cfg;
+}
+
 smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
-                         unsigned stamp_shards = 0) {
+                         const smr::ConflictClassMap* stamp_map = nullptr) {
   std::vector<smr::Command> cmds;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     smr::Command c;
@@ -32,12 +46,12 @@ smr::BatchPtr make_batch(std::uint64_t seq, std::vector<smr::Key> keys,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (stamp_shards != 0) b->stamp(smr::PlacementMaps{stamp_shards, nullptr});
+  if (stamp_map != nullptr) b->stamp(*stamp_map);
   return b;
 }
 
 /// The random batch stream shared by the lockstep tests: mixes hot keys
-/// (which conflict across batches AND across shards) with fresh keys.
+/// (which conflict across batches AND across partitions) with fresh keys.
 std::vector<std::vector<smr::Key>> random_key_stream(std::uint64_t seed,
                                                      std::size_t n_batches) {
   util::Xoshiro256 rng(seed);
@@ -59,14 +73,14 @@ std::vector<std::vector<smr::Key>> random_key_stream(std::uint64_t seed,
 template <typename S>
 std::vector<std::pair<smr::Key, smr::Value>> run_stream(
     SchedulerOptions cfg, const std::vector<std::vector<smr::Key>>& stream,
-    unsigned stamp_shards = 0) {
+    const smr::ConflictClassMap* stamp_map = nullptr) {
   kv::KvStore store;
   S s(cfg, [&](const smr::Batch& b) {
     for (const smr::Command& c : b.commands()) store.update(c.key, c.value);
   });
   s.start();
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_TRUE(s.deliver(make_batch(i + 1, stream[i], stamp_shards)));
+    EXPECT_TRUE(s.deliver(make_batch(i + 1, stream[i], stamp_map)));
   }
   s.wait_idle();
   s.stop();
@@ -81,40 +95,34 @@ TEST(ShardedSchedulerTest, LockstepBitIdenticalKvState) {
     SchedulerOptions ref_cfg;
     ref_cfg.workers = 4;
     const auto reference = run_stream<Scheduler>(ref_cfg, stream);
-    for (const unsigned shards : {1u, 2u, 4u}) {
-      SchedulerOptions cfg;
-      cfg.workers = 2;
-      cfg.shards = shards;
-      const auto got = run_stream<ShardedScheduler>(cfg, stream);
-      EXPECT_EQ(got, reference) << "seed=" << seed << " shards=" << shards;
+    for (const unsigned partitions : {1u, 2u, 4u}) {
+      const auto got = run_stream<EarlyScheduler>(partitioned(partitions), stream);
+      EXPECT_EQ(got, reference) << "seed=" << seed << " partitions=" << partitions;
     }
   }
 }
 
 TEST(ShardedSchedulerTest, LockstepWithPrecomputedShardMasks) {
-  // Same property when the proxy has already stamped the touched-shard set
-  // at batch-formation time (deliver() trusts the mask instead of
-  // recomputing it).
+  // Same property when the proxy has already stamped the touched-partition
+  // set at batch-formation time (deliver() trusts the stamp, whose
+  // fingerprint matches, instead of recomputing it).
   const auto stream = random_key_stream(99, 200);
   SchedulerOptions ref_cfg;
   ref_cfg.workers = 4;
   const auto reference = run_stream<Scheduler>(ref_cfg, stream);
-  SchedulerOptions cfg;
-  cfg.workers = 2;
-  cfg.shards = 4;
-  EXPECT_EQ(run_stream<ShardedScheduler>(cfg, stream, /*stamp_shards=*/4),
-            reference);
+  const SchedulerOptions cfg = partitioned(4);
+  EXPECT_EQ(run_stream<EarlyScheduler>(cfg, stream, cfg.class_map.get()), reference);
 }
 
 TEST(ShardedSchedulerTest, DeterministicAcrossWorkerCounts) {
-  // Worker count is an execution resource, never an ordering input.
+  // Worker count is an execution resource, never an ordering input: the
+  // four partitions fold onto 1, 2 or 4 class workers.
   const auto stream = random_key_stream(5150, 250);
   std::vector<std::pair<smr::Key, smr::Value>> first;
   for (const unsigned workers : {1u, 2u, 4u}) {
-    SchedulerOptions cfg;
+    SchedulerOptions cfg = partitioned(4);
     cfg.workers = workers;
-    cfg.shards = 4;
-    const auto got = run_stream<ShardedScheduler>(cfg, stream);
+    const auto got = run_stream<EarlyScheduler>(cfg, stream);
     if (workers == 1) {
       first = got;
     } else {
@@ -124,21 +132,18 @@ TEST(ShardedSchedulerTest, DeterministicAcrossWorkerCounts) {
 }
 
 TEST(ShardedSchedulerTest, CrossShardBatchesExecuteExactlyOnce) {
-  // Every delivered batch — single- or cross-shard — runs the executor
+  // Every delivered batch — single- or multi-partition — runs the executor
   // exactly once, and the top-level counters agree.
   std::mutex mu;
   std::map<std::uint64_t, int> runs;
-  SchedulerOptions cfg;
-  cfg.workers = 2;
-  cfg.shards = 4;
-  ShardedScheduler s(cfg, [&](const smr::Batch& b) {
+  EarlyScheduler s(partitioned(4), [&](const smr::Batch& b) {
     std::lock_guard lk(mu);
     ++runs[b.sequence()];
   });
   s.start();
   const std::size_t n = 200;
   for (std::uint64_t seq = 1; seq <= n; ++seq) {
-    // Wide batches: 6 consecutive keys almost always span several shards.
+    // Wide batches: 6 consecutive keys almost always span several partitions.
     std::vector<smr::Key> keys;
     for (smr::Key k = 0; k < 6; ++k) keys.push_back(seq * 3 + k);
     ASSERT_TRUE(s.deliver(make_batch(seq, keys)));
@@ -154,30 +159,28 @@ TEST(ShardedSchedulerTest, CrossShardBatchesExecuteExactlyOnce) {
   EXPECT_EQ(st.counter("scheduler.batches_delivered"), n);
   EXPECT_EQ(st.counter("scheduler.batches_executed"), n);
   EXPECT_EQ(st.counter("scheduler.commands_executed"), n * 6);
-  EXPECT_EQ(st.counter("scheduler.batches_single_shard") +
-                st.counter("scheduler.batches_cross_shard"),
+  EXPECT_EQ(st.counter("early.batches_fast_path") +
+                st.counter("early.batches_multi_class"),
             n);
-  EXPECT_GT(st.counter("scheduler.batches_cross_shard"), 0u);
+  EXPECT_GT(st.counter("early.batches_multi_class"), 0u);
 }
 
 TEST(ShardedSchedulerTest, SingleShardBatchesSkipTheGate) {
-  // Partition-friendly batches (all keys in one shard) count as
-  // single-shard, and per-shard engine metrics appear under shard.N. in
-  // the merged snapshot.
-  SchedulerOptions cfg;
-  cfg.workers = 2;
-  cfg.shards = 4;
+  // Partition-friendly batches (all keys in one partition) take the fast
+  // path, and per-worker metrics appear under early.worker.N. in the
+  // snapshot.
+  const SchedulerOptions cfg = partitioned(4);
   std::atomic<std::uint64_t> executed{0};
-  ShardedScheduler s(cfg, [&](const smr::Batch&) { executed.fetch_add(1); });
+  EarlyScheduler s(cfg, [&](const smr::Batch&) { executed.fetch_add(1); });
   s.start();
   const std::size_t n = 120;
   std::uint64_t key_cursor = 0;
   for (std::uint64_t seq = 1; seq <= n; ++seq) {
-    // All keys of the batch routed to the same shard by construction.
-    const std::size_t target = seq % cfg.shards;
+    // All keys of the batch routed to the same partition by construction.
+    const std::uint32_t target = static_cast<std::uint32_t>(seq % cfg.workers);
     std::vector<smr::Key> keys;
     while (keys.size() < 4) {
-      if (s.shard_of(key_cursor) == target) keys.push_back(key_cursor);
+      if (s.class_map().class_of_key(key_cursor) == target) keys.push_back(key_cursor);
       ++key_cursor;
     }
     ASSERT_TRUE(s.deliver(make_batch(seq, keys)));
@@ -186,30 +189,28 @@ TEST(ShardedSchedulerTest, SingleShardBatchesSkipTheGate) {
   const auto st = s.stats();
   s.stop();
   EXPECT_EQ(executed.load(), n);
-  EXPECT_EQ(st.counter("scheduler.batches_single_shard"), n);
-  EXPECT_EQ(st.counter("scheduler.batches_cross_shard"), 0u);
-  EXPECT_EQ(st.gauge("scheduler.cross_shard_fraction"), 0.0);
-  // Each engine's snapshot is merged under shard.N.; barrier participation
-  // equals exactly-once totals here because no batch crossed shards.
-  std::uint64_t per_shard_sum = 0;
-  for (unsigned i = 0; i < cfg.shards; ++i) {
-    per_shard_sum += st.counter("shard." + std::to_string(i) +
-                                ".scheduler.batches_executed");
+  EXPECT_EQ(st.counter("early.batches_fast_path"), n);
+  EXPECT_EQ(st.counter("early.batches_multi_class"), 0u);
+  EXPECT_EQ(st.gauge("early.fast_path_fraction"), 1.0);
+  // Each partition's worker ran exactly its own batches, n / 4 apiece, and
+  // the graph engine behind the gate ran none.
+  std::uint64_t per_worker_sum = 0;
+  for (unsigned i = 0; i < cfg.workers; ++i) {
+    const auto ran = st.counter("early.worker." + std::to_string(i) + ".batches_executed");
+    EXPECT_EQ(ran, n / cfg.workers) << "worker " << i;
+    per_worker_sum += ran;
   }
-  EXPECT_EQ(per_shard_sum, n);
-  EXPECT_EQ(st.counter_sum("scheduler.batches_executed"),
-            n + per_shard_sum);  // top-level + the four shard views
+  EXPECT_EQ(per_worker_sum, n);
+  EXPECT_EQ(st.counter("fallback.scheduler.batches_executed"), 0u);
+  EXPECT_EQ(st.counter_sum("scheduler.batches_executed"), n);
 }
 
 TEST(ShardedSchedulerTest, CrossShardFailureFiresOnFailureOnce) {
-  // A throwing executor on a cross-shard batch: counted once in the
-  // top-level batches_failed, on_failure fires once (from the leader
-  // shard), and dependents in every touched shard still run.
-  SchedulerOptions cfg;
-  cfg.workers = 2;
-  cfg.shards = 4;
+  // A throwing executor on a multi-partition batch: counted once in the
+  // top-level batches_failed, on_failure fires once (from the gate leader),
+  // and dependents in every touched partition still run.
   std::atomic<std::uint64_t> executed{0};
-  ShardedScheduler s(cfg, [&](const smr::Batch& b) {
+  EarlyScheduler s(partitioned(4), [&](const smr::Batch& b) {
     if (b.sequence() == 2) throw std::runtime_error("cross-shard poison");
     executed.fetch_add(1);
   });
@@ -220,12 +221,12 @@ TEST(ShardedSchedulerTest, CrossShardFailureFiresOnFailureOnce) {
     failures.fetch_add(1);
   });
   s.start();
-  // Keys 0..7 span all four shards with overwhelming probability.
+  // Keys 0..7 span all four partitions with overwhelming probability.
   std::vector<smr::Key> wide;
   for (smr::Key k = 0; k < 8; ++k) wide.push_back(k);
   ASSERT_TRUE(s.deliver(make_batch(1, wide)));
   ASSERT_TRUE(s.deliver(make_batch(2, wide)));  // throws
-  ASSERT_TRUE(s.deliver(make_batch(3, wide)));  // depends on 2 in every shard
+  ASSERT_TRUE(s.deliver(make_batch(3, wide)));  // depends on 2 in every partition
   s.wait_idle();
   const auto st = s.stats();
   s.stop();
@@ -237,17 +238,14 @@ TEST(ShardedSchedulerTest, CrossShardFailureFiresOnFailureOnce) {
 }
 
 TEST(ShardedSchedulerTest, CrossShardFractionGauge) {
-  SchedulerOptions cfg;
-  cfg.workers = 1;
-  cfg.shards = 2;
-  ShardedScheduler s(cfg, [](const smr::Batch&) {});
+  EarlyScheduler s(partitioned(2), [](const smr::Batch&) {});
   s.start();
-  // One key per batch -> single-shard; a two-shard batch every 4th.
+  // One key per batch -> one partition; a two-partition batch every 4th.
   std::uint64_t seq = 0;
   smr::Key a = 0;
-  while (s.shard_of(a) != 0) ++a;
+  while (s.class_map().class_of_key(a) != 0) ++a;
   smr::Key b = 0;
-  while (s.shard_of(b) != 1) ++b;
+  while (s.class_map().class_of_key(b) != 1) ++b;
   for (int i = 0; i < 12; ++i) ASSERT_TRUE(s.deliver(make_batch(++seq, {a})));
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(s.deliver(make_batch(++seq, {a, b})));
@@ -255,9 +253,9 @@ TEST(ShardedSchedulerTest, CrossShardFractionGauge) {
   s.wait_idle();
   const auto st = s.stats();
   s.stop();
-  EXPECT_EQ(st.counter("scheduler.batches_single_shard"), 12u);
-  EXPECT_EQ(st.counter("scheduler.batches_cross_shard"), 4u);
-  EXPECT_DOUBLE_EQ(st.gauge("scheduler.cross_shard_fraction"), 4.0 / 16.0);
+  EXPECT_EQ(st.counter("early.batches_fast_path"), 12u);
+  EXPECT_EQ(st.counter("early.batches_multi_class"), 4u);
+  EXPECT_DOUBLE_EQ(1.0 - st.gauge("early.fast_path_fraction"), 4.0 / 16.0);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // BatchFormer: affinity-aware batch formation (DESIGN.md §15). Covers the
 // two policies, the three flush watermarks, the mixed lane, stamping of
-// flushed batches, per-class load attribution, and placement swaps.
+// flushed batches, per-class load attribution, and class-map swaps.
 #include "smr/batch_former.hpp"
 
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ TEST(BatchFormer, AffinityFormsClassPureBatches) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 3;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   // Worst case for oblivious packing: perfectly interleaved classes.
@@ -71,26 +71,29 @@ TEST(BatchFormer, AffinityFormsClassPureBatches) {
     // Exactly one class bit per batch — the early scheduler's fast path.
     EXPECT_EQ(__builtin_popcountll(b.class_mask()), 1);
     EXPECT_EQ(b.class_map_fingerprint(),
-              cfg.placement.class_map->fingerprint());
+              cfg.class_map->fingerprint());
   }
   EXPECT_NE(out[0].class_mask(), out[1].class_mask());
 }
 
 TEST(BatchFormer, AffinitySplitsByShardWithinAClass) {
+  // Over uniform(4) the classes are key-hash partitions: lanes keyed by
+  // class form single-partition batches, stamped under that map.
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 8;
-  cfg.placement.shards = 4;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = std::make_shared<const ConflictClassMap>(ConflictClassMap::uniform(4));
   BatchFormer former(cfg);
   std::vector<Batch> out;
   for (Key k = 0; k < 40; ++k) former.offer(update(k % 100), out);
   former.drain(out);
   ASSERT_FALSE(out.empty());
   for (const Batch& b : out) {
-    // Lane key = (class, shard): every formed batch is single-shard too.
-    EXPECT_EQ(__builtin_popcountll(b.shard_mask()), 1) << b.shard_mask();
-    EXPECT_EQ(b.shard_count(), 4u);
+    EXPECT_EQ(__builtin_popcountll(b.class_mask()), 1) << b.class_mask();
+    EXPECT_EQ(b.class_map_fingerprint(), cfg.class_map->fingerprint());
+    for (const Command& c : b.commands()) {
+      EXPECT_EQ(std::uint64_t{1} << cfg.class_map->class_of_key(c.key), b.class_mask());
+    }
   }
 }
 
@@ -98,7 +101,7 @@ TEST(BatchFormer, HomelessCommandsCollectInMixedLane) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 4;
-  cfg.placement.class_map = two_class_map();  // keys >= 200 unclassified
+  cfg.class_map = two_class_map();  // keys >= 200 unclassified
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(5), out);     // class 0
@@ -126,7 +129,7 @@ TEST(BatchFormer, AgeWatermarkBoundsFormationLatency) {
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 8;
   cfg.max_lane_age = 10;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(150), out);  // cold lane (class 1), opened at tick 1
@@ -151,7 +154,7 @@ TEST(BatchFormer, LaneCountWatermarkFlushesOldestFirst) {
   m->add_range(0, 9, 0);
   m->add_range(10, 19, 1);
   m->add_range(20, 29, 2);
-  cfg.placement.class_map = std::move(m);
+  cfg.class_map = std::move(m);
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(0), out);   // lane A (oldest)
@@ -183,7 +186,7 @@ TEST(BatchFormer, SetPlacementStampsSubsequentFlushesUnderNewMap) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 2;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(1), out);
@@ -194,7 +197,7 @@ TEST(BatchFormer, SetPlacementStampsSubsequentFlushesUnderNewMap) {
   auto next = std::make_shared<ConflictClassMap>();
   next->add_range(0, 49, 0);
   next->add_range(50, 199, 1);
-  former.set_placement(PlacementMaps{0, next});
+  former.set_class_map(next);
   former.offer(update(60), out);
   former.offer(update(61), out);
   ASSERT_EQ(out.size(), 2u);
@@ -207,7 +210,7 @@ TEST(BatchFormer, WatermarkCountersAttributeFlushes) {
   BatchFormer::Config cfg;
   cfg.policy = FormationPolicy::kAffinity;
   cfg.batch_size = 2;
-  cfg.placement.class_map = two_class_map();
+  cfg.class_map = two_class_map();
   BatchFormer former(cfg);
   std::vector<Batch> out;
   former.offer(update(0), out);

@@ -203,14 +203,17 @@ TEST(Batch, BuildBitmapIsIdempotent) {
 
 TEST(BatchStamp, MatchesOnePassMasksOnRandomBatches) {
   // Parity contract: one stamp() pass must cache exactly what the one-pass
-  // compute_shard_mask / compute_class_mask return, for any command mix
-  // (classified, unclassified, reads, every shard count).
+  // compute_class_mask returns, for any command mix (classified,
+  // unclassified, reads) — under a declared map and under every
+  // key-hash partition count uniform(S), where bit s is set iff some
+  // command's key hashes to partition s.
   util::Xoshiro256 rng(911);
-  auto map = std::make_shared<ConflictClassMap>();
-  map->add_range(0, 31, 0);
-  map->add_range(32, 63, 1);
-  map->map_kind(OpType::kRead, 2);  // keys >= 64 stay unclassified
-  for (unsigned shards : {1u, 2u, 7u, 64u}) {
+  ConflictClassMap map;
+  map.add_range(0, 31, 0);
+  map.add_range(32, 63, 1);
+  map.map_kind(OpType::kRead, 2);  // keys >= 64 stay unclassified
+  for (unsigned partitions : {1u, 2u, 7u, ConflictClassMap::kMaxClasses}) {
+    const ConflictClassMap uniform = ConflictClassMap::uniform(partitions);
     for (int trial = 0; trial < 50; ++trial) {
       std::vector<Command> cmds;
       const std::size_t n = 1 + rng.next_below(20);
@@ -220,28 +223,38 @@ TEST(BatchStamp, MatchesOnePassMasksOnRandomBatches) {
         cmds.push_back(c);
       }
       Batch unified{std::vector<Command>(cmds)};
-      unified.stamp(PlacementMaps{shards, map});
-      EXPECT_EQ(unified.shard_mask(), compute_shard_mask(unified, shards));
-      EXPECT_EQ(unified.shard_count(), shards);
-      EXPECT_EQ(unified.class_mask(), compute_class_mask(unified, *map));
-      EXPECT_EQ(unified.class_map_fingerprint(), map->fingerprint());
+      unified.stamp(uniform);
+      std::uint64_t touched = 0;
+      for (const Command& c : cmds) touched |= std::uint64_t{1} << uniform.class_of_key(c.key);
+      EXPECT_EQ(unified.class_mask(), touched);
+      EXPECT_EQ(unified.class_mask(), compute_class_mask(unified, uniform));
+      EXPECT_EQ(unified.class_map_fingerprint(), uniform.fingerprint());
+      unified.stamp(map);
+      EXPECT_EQ(unified.class_mask(), compute_class_mask(unified, map));
+      EXPECT_EQ(unified.class_map_fingerprint(), map.fingerprint());
     }
   }
 }
 
 TEST(BatchStamp, SkippedHalvesLeaveExistingStampsUntouched) {
-  auto map = std::make_shared<ConflictClassMap>();
-  map->add_range(0, 99, 0);
+  // A stamp is a pure function of (commands, map): re-stamping under the
+  // same map changes nothing, and a stamp under another map leaves no trace
+  // once the first map is stamped again.
+  const ConflictClassMap uniform = ConflictClassMap::uniform(4);
+  ConflictClassMap ranges;
+  ranges.add_range(0, 99, 0);
   Batch b({update(5), update(80)});
-  b.stamp(PlacementMaps{4, map});
-  const std::uint64_t smask = b.shard_mask();
+  b.stamp(uniform);
   const std::uint64_t cmask = b.class_mask();
-  b.stamp(PlacementMaps{0, nullptr});  // no-op: both halves skipped
-  EXPECT_EQ(b.shard_mask(), smask);
+  b.stamp(uniform);
   EXPECT_EQ(b.class_mask(), cmask);
-  b.stamp(PlacementMaps{2, nullptr});  // shard half only
-  EXPECT_EQ(b.shard_count(), 2u);
-  EXPECT_EQ(b.class_mask(), cmask);  // class stamp survives
+  EXPECT_EQ(b.class_map_fingerprint(), uniform.fingerprint());
+  b.stamp(ranges);
+  EXPECT_EQ(b.class_mask(), std::uint64_t{1});
+  EXPECT_EQ(b.class_map_fingerprint(), ranges.fingerprint());
+  b.stamp(uniform);
+  EXPECT_EQ(b.class_mask(), cmask);
+  EXPECT_EQ(b.class_map_fingerprint(), uniform.fingerprint());
 }
 
 TEST(Batch, EmptyBatchBitmapIsEmpty) {

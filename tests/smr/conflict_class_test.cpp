@@ -95,7 +95,7 @@ TEST(ConflictClassMapTest, BatchStampMirrorsShardMask) {
   b.set_sequence(1);
   EXPECT_EQ(b.class_mask(), 0u);  // never stamped
   EXPECT_EQ(b.class_map_fingerprint(), 0u);
-  b.stamp(PlacementMaps{0, std::make_shared<const ConflictClassMap>(map)});
+  b.stamp(map);
   EXPECT_EQ(b.class_mask(), (std::uint64_t{1} << 0) | (std::uint64_t{1} << 3) |
                                 ConflictClassMap::kUnclassifiedBit);
   EXPECT_EQ(b.class_map_fingerprint(), map.fingerprint());
