@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -22,6 +21,7 @@
 #include "core/dependency_graph.hpp"
 #include "core/early_scheduler.hpp"
 #include "core/scheduler.hpp"
+#include "host_info.hpp"
 #include "kvstore/kvstore.hpp"
 #include "obs/metrics.hpp"
 #include "smr/batch_former.hpp"
@@ -65,8 +65,7 @@ void BM_GraphInsert(benchmark::State& state) {
   const std::size_t graph_size = static_cast<std::size_t>(state.range(2));
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
 
   DependencyGraph graph(mode);
   std::uint64_t seq = 0;
@@ -99,8 +98,7 @@ void BM_GraphInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphInsert)
     ->ArgsProduct({{0 /*keys-nested*/}, {1, 100, 200}, {1, 4, 16, 64}})
-    ->ArgsProduct({{2 /*bitmap*/}, {100, 200}, {1, 4, 16, 64}})
-    ->ArgsProduct({{3 /*bitmap-sparse*/}, {100, 200}, {1, 4, 16, 64}})
+    ->ArgsProduct({{2 /*bitmap*/}, {100, 200}, {1, 4, 16, 64, 256}})
     ->UseManualTime()
     ->Iterations(1000);
 
@@ -110,8 +108,7 @@ void BM_ConflictTest(benchmark::State& state) {
   const std::size_t batch_size = static_cast<std::size_t>(state.range(1));
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
   const auto a = make_batch(1, batch_size, 0, use_bitmap ? &bitmap : nullptr);
   const auto b = make_batch(2, batch_size, 1ull << 30, use_bitmap ? &bitmap : nullptr);
   psmr::core::ConflictDetector detect(mode);
@@ -120,7 +117,7 @@ void BM_ConflictTest(benchmark::State& state) {
   }
   state.SetLabel(psmr::core::to_string(mode));
 }
-BENCHMARK(BM_ConflictTest)->ArgsProduct({{0, 1, 2, 3}, {1, 10, 100, 200}});
+BENCHMARK(BM_ConflictTest)->ArgsProduct({{0, 1, 2}, {1, 10, 100, 200}});
 
 /// args: {bits, batch_size} — the digest cost the CLIENT proxy pays (§VI).
 void BM_BitmapBuild(benchmark::State& state) {
@@ -135,7 +132,7 @@ void BM_BitmapBuild(benchmark::State& state) {
   psmr::smr::Batch batch(cmds);
   for (auto _ : state) {
     batch.build_bitmap(bitmap);
-    benchmark::DoNotOptimize(batch.write_bloom().bits_set());
+    benchmark::DoNotOptimize(batch.write_positions().size());
   }
 }
 BENCHMARK(BM_BitmapBuild)->ArgsProduct({{102400, 1024000}, {100, 200}});
@@ -213,8 +210,7 @@ InsertMeasurement measure_graph_insert(ConflictMode mode, IndexMode index,
                                        std::size_t iters) {
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = 1024000;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
 
   DependencyGraph graph(mode, index);
   std::uint64_t seq = 0;
@@ -328,8 +324,7 @@ ThroughputMeasurement measure_scheduler_throughput(ConflictMode mode, IndexMode 
                                                    std::size_t bitmap_bits) {
   psmr::smr::BitmapConfig bitmap;
   bitmap.bits = bitmap_bits;
-  const bool use_bitmap =
-      mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == ConflictMode::kBitmap;
 
   std::vector<psmr::smr::BatchPtr> pinned;
   for (unsigned w = 0; w < workers; ++w) {
@@ -725,24 +720,6 @@ void write_zipf_rows(FILE* f, bool smoke, double extra_theta) {
 // The psmr.metrics.v1 export is likewise written by one helper.
 // ---------------------------------------------------------------------------
 
-#ifndef PSMR_BUILD_TYPE
-#define PSMR_BUILD_TYPE "unknown"
-#endif
-
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        return line.substr(line.find_first_not_of(' ', colon + 1));
-      }
-    }
-  }
-  return "unknown";
-}
-
 FILE* open_bench_file(const char* path, const char* bench, bool smoke,
                       const char* schema, const std::string& config_json) {
   FILE* f = std::fopen(path, "w");
@@ -753,8 +730,7 @@ FILE* open_bench_file(const char* path, const char* bench, bool smoke,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n", bench);
   if (schema != nullptr) std::fprintf(f, "  \"schema\": \"%s\",\n", schema);
   std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(f, "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\", \"build_type\": \"%s\"},\n",
-               std::thread::hardware_concurrency(), cpu_model().c_str(), PSMR_BUILD_TYPE);
+  psmr::bench::write_host_json(f);
   if (!config_json.empty()) {
     std::fprintf(f, "  \"config\": %s,\n", config_json.c_str());
   }
@@ -1174,15 +1150,21 @@ int json_main(bool smoke, const char* metrics_path) {
   const std::size_t insert_iters = smoke ? 200 : 2000;
   const std::size_t tput_batches = smoke ? 300 : 2000;
 
+  // Key modes: the paper's scan against the posting index, where the index
+  // wins. kBitmap always scans (its pair test is a merge of sorted digest
+  // positions), swept over the pending-graph size.
   struct InsertCase {
     ConflictMode mode;
+    IndexMode index;
     std::size_t batch_size;
     std::size_t pending;
   };
   const InsertCase cases[] = {
-      {ConflictMode::kKeysNested, 100, 64},
-      {ConflictMode::kBitmap, 200, 64},
-      {ConflictMode::kBitmapSparse, 200, 64},
+      {ConflictMode::kKeysNested, IndexMode::kScan, 100, 64},
+      {ConflictMode::kKeysNested, IndexMode::kIndexed, 100, 64},
+      {ConflictMode::kBitmap, IndexMode::kScan, 200, 16},
+      {ConflictMode::kBitmap, IndexMode::kScan, 200, 64},
+      {ConflictMode::kBitmap, IndexMode::kScan, 200, 256},
   };
 
   FILE* f = open_bench_file("BENCH_scheduler.json", "micro_scheduler", smoke,
@@ -1192,38 +1174,38 @@ int json_main(bool smoke, const char* metrics_path) {
   std::fprintf(f, "  \"graph_insert\": [\n");
   bool first = true;
   for (const InsertCase& c : cases) {
-    for (IndexMode index : {IndexMode::kScan, IndexMode::kIndexed}) {
-      const InsertMeasurement m =
-          measure_graph_insert(c.mode, index, c.batch_size, c.pending, insert_iters);
-      std::fprintf(f,
-                   "%s    {\"mode\": \"%s\", \"index\": \"%s\", \"batch_size\": %zu, "
-                   "\"pending\": %zu, \"ns_per_insert\": %.1f, "
-                   "\"pair_tests_per_insert\": %.3f, \"comparisons_per_test\": %.1f, "
-                   "\"fast_path_skip_fraction\": %.3f}",
-                   first ? "" : ",\n", psmr::core::to_string(c.mode),
-                   psmr::core::to_string(index), c.batch_size, c.pending,
-                   m.ns_per_insert, m.pair_tests_per_insert, m.comparisons_per_test,
-                   m.fast_path_skip_fraction);
-      first = false;
-      std::printf("graph_insert %-13s index=%-7s pending=%zu: %8.1f ns/insert, "
-                  "%7.3f pair tests/insert\n",
-                  psmr::core::to_string(c.mode), psmr::core::to_string(index),
-                  c.pending, m.ns_per_insert, m.pair_tests_per_insert);
-    }
+    const InsertMeasurement m =
+        measure_graph_insert(c.mode, c.index, c.batch_size, c.pending, insert_iters);
+    std::fprintf(f,
+                 "%s    {\"mode\": \"%s\", \"index\": \"%s\", \"batch_size\": %zu, "
+                 "\"pending\": %zu, \"ns_per_insert\": %.1f, "
+                 "\"pair_tests_per_insert\": %.3f, \"comparisons_per_test\": %.1f, "
+                 "\"fast_path_skip_fraction\": %.3f}",
+                 first ? "" : ",\n", psmr::core::to_string(c.mode),
+                 psmr::core::to_string(c.index), c.batch_size, c.pending,
+                 m.ns_per_insert, m.pair_tests_per_insert, m.comparisons_per_test,
+                 m.fast_path_skip_fraction);
+    first = false;
+    std::printf("graph_insert %-13s index=%-7s pending=%zu: %8.1f ns/insert, "
+                "%7.3f pair tests/insert\n",
+                psmr::core::to_string(c.mode), psmr::core::to_string(c.index),
+                c.pending, m.ns_per_insert, m.pair_tests_per_insert);
   }
   std::fprintf(f, "\n  ],\n  \"scheduler_throughput\": [\n");
   first = true;
   psmr::obs::Snapshot last_metrics;
   for (ConflictMode mode : {ConflictMode::kBitmap, ConflictMode::kKeysNested}) {
     const std::size_t batch_size = mode == ConflictMode::kBitmap ? 200 : 100;
-    // The scan is quadratic in delivered batches; cap both runs (the dense
-    // digest additionally keeps ~256 KiB of bloom per pre-built batch).
+    // The scan is quadratic in delivered batches; cap both runs.
     const std::size_t n = tput_batches / 2;
-    // The bitmap case uses the paper's LARGE digest (Table I): it is the
-    // configuration whose per-pair dense scan is most expensive, and its
-    // sparser aggregate keeps the posting lists selective.
+    // The bitmap case uses the paper's LARGE digest (Table I).
     const std::size_t bits = 1024000;
-    for (IndexMode index : {IndexMode::kScan, IndexMode::kIndexed}) {
+    // kBitmap scans under either IndexMode, so it gets one row.
+    const std::vector<IndexMode> indexes =
+        mode == ConflictMode::kBitmap
+            ? std::vector<IndexMode>{IndexMode::kScan}
+            : std::vector<IndexMode>{IndexMode::kScan, IndexMode::kIndexed};
+    for (IndexMode index : indexes) {
       const ThroughputMeasurement m = measure_scheduler_throughput(
           mode, index, /*workers=*/4, batch_size, n, bits);
       std::fprintf(f,

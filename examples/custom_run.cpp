@@ -8,7 +8,7 @@
 //       --bitmap-bits 1024000 --conflict 0.1 --proxies 8 --virtual
 //
 // Flags (defaults in brackets):
-//   --mode keys|keys-hashed|bitmap|bitmap-sparse   [bitmap]
+//   --mode keys|keys-hashed|bitmap   [bitmap]
 //   --workers N        worker threads               [4]
 //   --batch N          commands per batch           [100]
 //   --bitmap-bits N    Bloom filter size m          [1024000]
@@ -39,7 +39,6 @@ psmr::core::ConflictMode parse_mode(const std::string& s) {
   if (s == "keys") return psmr::core::ConflictMode::kKeysNested;
   if (s == "keys-hashed") return psmr::core::ConflictMode::kKeysHashed;
   if (s == "bitmap") return psmr::core::ConflictMode::kBitmap;
-  if (s == "bitmap-sparse") return psmr::core::ConflictMode::kBitmapSparse;
   usage_error("unknown --mode");
 }
 
@@ -74,8 +73,7 @@ int main(int argc, char** argv) {
     else if (arg == "--seconds") seconds = std::atof(next());
     else usage_error(("unknown flag " + arg).c_str());
   }
-  const bool use_bitmap = mode == psmr::core::ConflictMode::kBitmap ||
-                          mode == psmr::core::ConflictMode::kBitmapSparse;
+  const bool use_bitmap = mode == psmr::core::ConflictMode::kBitmap;
 
   std::printf("config: mode=%s workers=%u batch=%zu bitmap=%zu%s conflict=%.2f "
               "hot-reads=%zu proxies=%u engine=%s\n\n",

@@ -1,7 +1,5 @@
 #include "core/conflict.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace psmr::core {
@@ -11,7 +9,6 @@ const char* to_string(ConflictMode m) noexcept {
     case ConflictMode::kKeysNested: return "keys-nested";
     case ConflictMode::kKeysHashed: return "keys-hashed";
     case ConflictMode::kBitmap: return "bitmap";
-    case ConflictMode::kBitmapSparse: return "bitmap-sparse";
   }
   return "?";
 }
@@ -43,15 +40,9 @@ bool ConflictDetector::operator()(const smr::Batch& a, const smr::Batch& b) {
     case ConflictMode::kBitmap:
       PSMR_CHECK(a.has_bitmap() && b.has_bitmap());
       conflict = smr::bitmap_conflict(a, b);
-      stats_.comparisons += a.write_bloom().bitmap().size_words();
-      break;
-    case ConflictMode::kBitmapSparse:
-      PSMR_CHECK(a.has_bitmap() && b.has_bitmap());
-      // Position lists are only maintained for the unified digest; a split
-      // digest here would silently yield false negatives.
-      PSMR_CHECK(!a.split_read_write() && !b.split_read_write());
-      conflict = smr::bitmap_conflict_sparse(a, b);
-      stats_.comparisons += std::min(a.bitmap_positions().size(), b.bitmap_positions().size());
+      // Upper bound on the merge's steps, like the key modes' accounting.
+      stats_.comparisons += a.write_positions().size() + a.read_positions().size() +
+                            b.write_positions().size() + b.read_positions().size();
       break;
   }
   if (conflict) ++stats_.conflicts_found;

@@ -21,14 +21,12 @@ enum class ConflictMode : std::uint8_t {
   /// Not in the paper; used by the ablation benches to separate "batching"
   /// gains from "cheap comparison" gains.
   kKeysHashed = 1,
-  /// `bitmapConflict` (lines 28–29): dense word-wise AND over the bit
-  /// arrays, exactly the paper's implementation — O(m/64) per pair.
-  /// Subject to false positives, never false negatives.
+  /// `bitmapConflict` (lines 28–29): do the batches' Bloom digests share a
+  /// set bit? Answered by a sorted merge of the digests' position lists
+  /// (smr::bitmap_conflict) — the paper's dense word-AND answer at
+  /// O(Bi + Bj) per pair instead of O(m/64). Subject to false positives,
+  /// never false negatives.
   kBitmap = 2,
-  /// Extension: identical answer to kBitmap, computed by probing the
-  /// smaller batch's set positions against the other's dense array —
-  /// O(min(Bi,Bj)) per pair. The ablation bench compares the two.
-  kBitmapSparse = 3,
 };
 
 const char* to_string(ConflictMode m) noexcept;
@@ -38,24 +36,31 @@ const char* to_string(ConflictMode m) noexcept;
 /// batch must be pairwise-tested against; it never changes which edges are
 /// added, so every setting yields the identical graph (and thus identical
 /// replica behaviour) for the same delivery order.
+///
+/// The index serves the KEY modes only. There a pair test costs O(Bi·Bj)
+/// (nested) or a hash-set build (hashed), and skipping tests wins: keys-
+/// nested at 64 pending batches costs 17 µs per insert indexed against
+/// 310 µs scanned (BENCH_scheduler.json). In kBitmap a pair test is a
+/// merge of two short sorted lists, so at the graph sizes a replica holds
+/// the paper's plain scan beats any posting-list upkeep: bitmap-mode
+/// graphs always scan, whatever IndexMode says.
 enum class IndexMode : std::uint8_t {
   /// Pairwise test against every resident batch — Algorithm 1 lines 18–20
   /// verbatim. O(graph size) tests per insert.
   kScan = 0,
-  /// Aggregate bitmap + bit→posting-list inverted index over conflict
-  /// positions (hashed keys, or bitmap digest bits). A probe that misses
-  /// the aggregate skips all pairwise tests in one pass; otherwise only the
-  /// batches sharing a set position are tested. No false negatives: two
-  /// batches can only conflict if they share a position. Key modes and
-  /// unified bitmap digests are indexable; the first non-indexable batch (a
-  /// split read/write digest) permanently falls the graph back to kScan.
+  /// Key modes: aggregate bitmap + slot→posting-list inverted index over
+  /// hashed keys. A probe that misses the aggregate skips all pairwise
+  /// tests; otherwise only the batches sharing a slot are tested. No false
+  /// negatives: two batches can only conflict if they share a key, hence a
+  /// slot. kBitmap scans (see above).
   kIndexed = 1,
 };
 
 const char* to_string(IndexMode m) noexcept;
 
 struct ConflictStats {
-  /// Command-pair (key modes) or word (bitmap mode) comparisons performed.
+  /// Command-pair (key modes) or digest-position (bitmap mode, the merge's
+  /// input length) comparisons performed.
   std::uint64_t comparisons = 0;
   /// Batch-pair tests that reported a conflict.
   std::uint64_t conflicts_found = 0;

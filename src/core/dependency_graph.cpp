@@ -36,41 +36,23 @@ std::uint32_t key_position(std::uint64_t key) noexcept {
 DependencyGraph::DependencyGraph(ConflictMode mode, IndexMode index)
     : detector_(mode),
       index_mode_(index),
-      index_active_(index != IndexMode::kScan) {}
+      index_active_(index == IndexMode::kIndexed && mode != ConflictMode::kBitmap),
+      aggregate_(index_active_ ? kKeyIndexBits : 0) {}
 
-bool DependencyGraph::compute_positions(const smr::Batch& batch,
-                                        std::vector<std::uint32_t>& out) const {
-  out.clear();
-  switch (detector_.mode()) {
-    case ConflictMode::kKeysNested:
-    case ConflictMode::kKeysHashed:
-      out.reserve(batch.size());
-      for (const smr::Command& c : batch.commands()) {
-        out.push_back(key_position(c.key));
-      }
-      break;
-    case ConflictMode::kBitmap:
-    case ConflictMode::kBitmapSparse:
-      // Split read/write digests carry no position list; such batches
-      // cannot be indexed and degrade the graph to scanning.
-      if (!batch.has_bitmap() || batch.split_read_write()) return false;
-      out.assign(batch.bitmap_positions().begin(), batch.bitmap_positions().end());
-      break;
-  }
+std::vector<std::uint32_t> DependencyGraph::compute_positions(const smr::Batch& batch) {
+  std::vector<std::uint32_t> out;
+  out.reserve(batch.size());
+  for (const smr::Command& c : batch.commands()) out.push_back(key_position(c.key));
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return true;
+  return out;
 }
 
 DependencyGraph::Prepared DependencyGraph::prepare(smr::BatchPtr batch) const {
   PSMR_CHECK(batch != nullptr);
   Prepared p;
-  // Only the immutable configuration is read here — index_active_ can be
-  // mutated concurrently by an insert on another thread, so prepare() must
-  // not depend on it.
-  if (index_mode_ != IndexMode::kScan) {
-    p.indexable = compute_positions(*batch, p.positions);
-  }
+  // Reads only the immutable configuration and the batch.
+  if (index_active_) p.positions = compute_positions(*batch);
   p.batch = std::move(batch);
   return p;
 }
@@ -102,16 +84,6 @@ void DependencyGraph::release_node(Node* node) {
   }
 }
 
-void DependencyGraph::ensure_aggregate_bits(std::size_t bits) {
-  if (aggregate_.size_bits() >= bits) return;
-  util::Bitmap grown(bits);
-  for (const auto& [pos, list] : postings_) {
-    (void)list;
-    grown.set(pos);
-  }
-  aggregate_ = std::move(grown);
-}
-
 void DependencyGraph::index_insert(Node& node) {
   for (std::uint32_t pos : node.index_positions) {
     postings_[pos].push_back(&node);
@@ -138,14 +110,6 @@ void DependencyGraph::index_erase(Node& node) {
   }
 }
 
-void DependencyGraph::disable_index() {
-  index_active_ = false;
-  index_stats_.fell_back_to_scan = true;
-  postings_.clear();
-  aggregate_ = util::Bitmap();
-  for (Node& n : nodes_) n.index_positions.clear();
-}
-
 void DependencyGraph::insert(Prepared&& probe) {
   PSMR_CHECK(probe.batch != nullptr);
   PSMR_CHECK(probe.batch->sequence() > last_seq_);  // delivery order is strictly increasing
@@ -160,41 +124,26 @@ void DependencyGraph::insert(Prepared&& probe) {
   node.seq = node.batch->sequence();
   node.inserted_at_ns = util::now_ns();
 
-  if (index_active_ && !probe.indexable) disable_index();
-
   if (index_active_) {
     node.index_positions = std::move(probe.positions);
     ++index_stats_.probes;
-    const ConflictMode m = detector_.mode();
-    if (m == ConflictMode::kBitmap || m == ConflictMode::kBitmapSparse) {
-      ensure_aggregate_bits(node.batch->write_bloom().bitmap().size_bits());
-    } else {
-      ensure_aggregate_bits(kKeyIndexBits);
-    }
 
-    // Aggregate fast path: a probe with no position resident anywhere in
-    // the graph conflicts with nothing — skip every pairwise test. kBitmap
-    // carries a dense digest, so the check is one vectorized word-AND pass;
-    // the other modes probe their O(batch) positions.
+    // Aggregate fast path: a probe with no slot resident anywhere in the
+    // graph conflicts with nothing — skip every pairwise test.
     bool may_conflict = false;
-    if (m == ConflictMode::kBitmap) {
-      may_conflict = node.batch->write_bloom().bitmap().intersects(aggregate_);
-    } else {
-      for (std::uint32_t pos : node.index_positions) {
-        if (aggregate_.test(pos)) {
-          may_conflict = true;
-          break;
-        }
+    for (std::uint32_t pos : node.index_positions) {
+      if (aggregate_.test(pos)) {
+        may_conflict = true;
+        break;
       }
     }
 
     if (!may_conflict) {
       ++index_stats_.fast_path_skips;
     } else {
-      // Candidate set: resident batches sharing at least one position with
-      // the probe. Conflicts imply a shared position (same key hashes to
-      // the same slot; intersecting digests share a bit), so testing only
-      // candidates adds exactly the edges the full scan would — lines
+      // Candidate set: resident batches sharing at least one slot with the
+      // probe. Conflicts imply a shared key, hence a shared slot, so testing
+      // only candidates adds exactly the edges the full scan would — lines
       // 18–20 with the no-false-negative guarantee intact.
       ++probe_stamp_;
       for (std::uint32_t pos : node.index_positions) {
@@ -374,9 +323,8 @@ void DependencyGraph::check_invariants() const {
   // mirror the resident batches' freshly recomputed positions.
   if (index_active_) {
     std::unordered_map<std::uint32_t, std::size_t> expected;
-    std::vector<std::uint32_t> fresh;
     for (const Node& n : nodes_) {
-      PSMR_CHECK(compute_positions(*n.batch, fresh));
+      const std::vector<std::uint32_t> fresh = compute_positions(*n.batch);
       PSMR_CHECK(fresh == n.index_positions);
       for (std::uint32_t pos : fresh) {
         ++expected[pos];
@@ -429,7 +377,6 @@ void GraphStatsPublisher::publish(obs::MetricsRegistry& registry,
   registry.gauge("graph.size_at_insert.avg").set(graph.size_at_insert().mean());
   registry.gauge("graph.size_at_insert.max").set(graph.size_at_insert().max());
   registry.gauge("graph.index.active").set(graph.index_active() ? 1.0 : 0.0);
-  registry.gauge("graph.index.fell_back_to_scan").set(is.fell_back_to_scan ? 1.0 : 0.0);
   registry.gauge("trace.capacity").set(static_cast<double>(tracer.capacity()));
 }
 

@@ -9,15 +9,16 @@
 // exists "to speed the process of removing edges"), and a taken/notTaken
 // status so a batch under execution stays visible to conflict detection.
 //
-// On top of Algorithm 1, the graph can maintain an INVERTED INDEX over
-// conflict positions (IndexMode::kIndexed): an aggregate bitmap —
-// the OR of every resident batch's positions, kept exact by using the
-// posting lists as per-bit refcounts — and a position -> posting-list map.
-// An incoming batch whose positions miss the aggregate is provably
-// conflict-free against the whole graph and skips all pairwise tests; when
-// the aggregate intersects, only batches sharing a position are tested.
-// Both paths add the identical edge set (two batches can only conflict if
-// they share a position), so determinism across replicas is untouched.
+// In the key conflict modes the graph can maintain an INVERTED INDEX over
+// hashed key slots (IndexMode::kIndexed): an aggregate bitmap — the OR of
+// every resident batch's slots, kept exact by using the posting lists as
+// per-slot refcounts — and a slot -> posting-list map. An incoming batch
+// whose slots miss the aggregate is provably conflict-free against the
+// whole graph and skips all pairwise tests; when the aggregate intersects,
+// only batches sharing a slot are tested. Both paths add the identical edge
+// set (two batches can only conflict if they share a key), so determinism
+// across replicas is untouched. kBitmap always runs the paper's scan: its
+// pair test is a cheap merge of sorted digest positions (see IndexMode).
 //
 // NOT thread-safe: the scheduler serializes all access through its monitor,
 // exactly as Algorithm 1 prescribes ("inserting, getting the next batch,
@@ -62,8 +63,7 @@ class DependencyGraph {
    private:
     friend class DependencyGraph;
     std::list<Node>::iterator self;
-    /// Distinct index positions this batch occupies (hashed keys for the
-    /// key modes, digest bit positions for unified bitmap modes). Empty
+    /// Distinct hashed key slots this batch occupies in the index. Empty
     /// when the index is inactive.
     std::vector<std::uint32_t> index_positions;
     /// Stamp of the last probe that already tested this node — dedups
@@ -77,11 +77,8 @@ class DependencyGraph {
   /// section only pays for the index lookup and the candidate tests.
   struct Prepared {
     smr::BatchPtr batch;
-    /// Distinct index positions (sorted). Meaningful only if `indexable`.
+    /// Distinct index slots (sorted); empty when the index is inactive.
     std::vector<std::uint32_t> positions;
-    /// False when this batch cannot participate in the index (split
-    /// read/write digests) — its arrival degrades the graph to scanning.
-    bool indexable = false;
   };
 
   struct IndexStats {
@@ -92,9 +89,6 @@ class DependencyGraph {
     std::uint64_t fast_path_skips = 0;
     /// Pairwise tests routed through posting lists (the candidate set).
     std::uint64_t candidate_tests = 0;
-    /// True once a non-indexable batch permanently degraded the graph to
-    /// IndexMode::kScan behaviour.
-    bool fell_back_to_scan = false;
   };
 
   explicit DependencyGraph(ConflictMode mode, IndexMode index = IndexMode::kIndexed);
@@ -153,8 +147,8 @@ class DependencyGraph {
   const ConflictStats& conflict_stats() const noexcept { return detector_.stats(); }
   ConflictMode mode() const noexcept { return detector_.mode(); }
 
-  /// Configured index mode and whether the index is currently maintained
-  /// (kIndexed may have fallen back to scanning).
+  /// Configured index mode and whether the index is maintained (kIndexed
+  /// in a key mode; bitmap-mode graphs always scan).
   IndexMode index_mode() const noexcept { return index_mode_; }
   bool index_active() const noexcept { return index_active_; }
   const IndexStats& index_stats() const noexcept { return index_stats_; }
@@ -193,20 +187,17 @@ class DependencyGraph {
   void check_invariants() const;
 
  private:
-  /// Distinct, sorted index positions of a batch; false if the batch cannot
-  /// be indexed under the current configuration.
-  bool compute_positions(const smr::Batch& batch, std::vector<std::uint32_t>& out) const;
+  /// Distinct, sorted index slots of a batch's keys.
+  static std::vector<std::uint32_t> compute_positions(const smr::Batch& batch);
 
   Node& acquire_node();
   void release_node(Node* node);
-  void ensure_aggregate_bits(std::size_t bits);
   void index_insert(Node& node);
   void index_erase(Node& node);
-  void disable_index();
 
   ConflictDetector detector_;
   IndexMode index_mode_;
-  bool index_active_;
+  const bool index_active_;
   std::list<Node> nodes_;                 // the paper's nodeList, in <B order
   std::list<Node> pool_;                  // recycled nodes (allocation pooling)
   std::map<std::uint64_t, Node*> ready_;  // free & notTaken, keyed by seq
@@ -217,9 +208,10 @@ class DependencyGraph {
   std::uint64_t removed_ = 0;
   stats::RunningStat size_at_insert_;
 
-  // Inverted index: aggregate bitmap (OR of all resident batches' positions,
+  // Inverted index: aggregate bitmap (OR of all resident batches' slots,
   // kept exact — a bit clears when its posting list empties) + posting
-  // lists. postings_ entries are never empty.
+  // lists. postings_ entries are never empty. Both stay empty when the
+  // index is inactive.
   util::Bitmap aggregate_;
   std::unordered_map<std::uint32_t, std::vector<Node*>> postings_;
   std::uint64_t probe_stamp_ = 0;

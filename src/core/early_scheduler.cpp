@@ -81,13 +81,13 @@ EarlyScheduler::EarlyScheduler(SchedulerOptions options, Executor executor)
 
   metrics_->gauge("early.classes").set(static_cast<double>(map_->num_classes()));
   metrics_->gauge("early.class_workers").set(static_cast<double>(config_.workers));
+  metrics_->gauge("early.fallback_threads").set(0.0);
 }
 
 EarlyScheduler::~EarlyScheduler() { stop(); }
 
 void EarlyScheduler::start() {
   PSMR_CHECK(!started_.exchange(true));
-  fallback_->start();
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w]->thread = std::thread([this, w] { worker_loop(w); });
   }
@@ -126,6 +126,16 @@ bool EarlyScheduler::deliver(smr::BatchPtr batch) {
   const std::uint64_t pset = participants_of(mask);
   const int touched = std::popcount(pset);
   const std::uint64_t fallback_bit = std::uint64_t{1} << num_class_workers();
+  if ((pset & fallback_bit) != 0 && !fallback_started_) {
+    // First unclassified batch: bring up the graph engine's threads. A
+    // never-started engine still serves barriers, wait_idle() and stop(),
+    // since its graph is empty.
+    fallback_started_ = true;
+    fallback_->start();
+    metrics_->gauge("early.fallback_threads")
+        .set(static_cast<double>(config_.fallback_workers != 0 ? config_.fallback_workers
+                                                               : config_.workers));
+  }
 
   // Secure capacity on every touched participant BEFORE pushing any leg —
   // all-or-nothing admission, so the rejecting modes never strand a gate

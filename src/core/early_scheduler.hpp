@@ -83,8 +83,11 @@ class EarlyScheduler {
   /// partition with one class per worker — never unclassified).
   /// `options.fallback_workers` sizes the embedded graph engine
   /// (0 = `workers`); its conflict mode/index knobs come from the same
-  /// options. Circuit thresholds apply to the class workers and,
-  /// independently, inside the fallback engine.
+  /// options. The engine's threads start with the first batch routed to
+  /// it, so a map that classifies every key (uniform(S)) runs only the
+  /// class workers (gauge `early.fallback_threads`). Circuit thresholds
+  /// apply to the class workers and, independently, inside the fallback
+  /// engine.
   EarlyScheduler(SchedulerOptions options, Executor executor);
   ~EarlyScheduler();
 
@@ -236,6 +239,7 @@ class EarlyScheduler {
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};
+  bool fallback_started_ = false;  // guarded by lifecycle_mu_
   std::atomic<std::uint64_t> outstanding_{0};  // class-worker items in flight
 
   /// Serializes deliver() against stop(): stop() cannot flip `stopping_`

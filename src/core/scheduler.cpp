@@ -53,7 +53,7 @@ bool Scheduler::deliver(smr::BatchPtr batch) {
   // wait_for_space() still exists at the insert below. Checking first also
   // keeps the rejecting modes from consuming the caller's batch.
   if (!wait_for_space()) return false;
-  // Probe metadata (position hashing / digest positions) is computed BEFORE
+  // Probe metadata (key-slot hashing for the key index) is computed BEFORE
   // taking the monitor — prepare() is const and reads only the immutable
   // configuration — so the serialized section pays only for the index
   // lookup and the candidate tests.

@@ -113,7 +113,7 @@ struct SchedulerOptions {
   /// early for a better failure location.
   void validate() const {
     PSMR_CHECK(workers >= 1);
-    PSMR_CHECK(static_cast<unsigned>(mode) <= static_cast<unsigned>(ConflictMode::kBitmapSparse));
+    PSMR_CHECK(static_cast<unsigned>(mode) <= static_cast<unsigned>(ConflictMode::kBitmap));
     PSMR_CHECK(static_cast<unsigned>(index) <= static_cast<unsigned>(IndexMode::kIndexed));
     PSMR_CHECK(static_cast<unsigned>(backpressure) <=
                static_cast<unsigned>(BackpressureMode::kReject));

@@ -157,8 +157,9 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
       case Event::Kind::kArrival: {
         // Serial delivery path (one delivery thread): syscall/decode cost,
         // then the monitor-protected insert, measured for real. Key-mode
-        // comparisons additionally carry the calibrated per-comparison
-        // charge (see ExecSimConfig::key_compare_cost_ns).
+        // comparisons and bitmap pair tests additionally carry the
+        // calibrated charges (ExecSimConfig::key_compare_cost_ns and
+        // bitmap_word_cost_ns).
         std::shared_ptr<smr::Batch> batch = make_batch(ev.proxy);
         batch->set_sequence(next_seq++);
         // Partition-friendly routing: proxy p's disjoint key range belongs
@@ -180,15 +181,14 @@ ExecSimResult run_exec_sim(const ExecSimConfig& cfg) {
         const unsigned leader = cross ? 0 : home;
         core::DependencyGraph& graph = *graphs[leader];
         const std::uint64_t start = std::max(deliver_start, monitor_free_at[leader]);
-        const std::uint64_t comparisons_before = graph.conflict_stats().comparisons;
+        const core::ConflictStats before = graph.conflict_stats();
         std::uint64_t d = timed([&] { graph.insert(batch); });
-        const std::uint64_t comparisons =
-            graph.conflict_stats().comparisons - comparisons_before;
-        if (cfg.mode == core::ConflictMode::kKeysNested ||
-            cfg.mode == core::ConflictMode::kKeysHashed) {
-          d += comparisons * cfg.key_compare_cost_ns;
-        } else if (cfg.mode == core::ConflictMode::kBitmap) {
-          d += comparisons * cfg.bitmap_word_cost_ns;  // comparisons = words scanned
+        if (cfg.mode == core::ConflictMode::kBitmap) {
+          const std::uint64_t words = (cfg.bitmap_bits + 63) / 64;
+          d += (graph.conflict_stats().tests - before.tests) * words * cfg.bitmap_word_cost_ns;
+        } else {
+          d += (graph.conflict_stats().comparisons - before.comparisons) *
+               cfg.key_compare_cost_ns;
         }
         monitor_free_at[leader] = start + d;
         monitor_busy_ns += d;

@@ -225,6 +225,44 @@ TEST(EarlySchedulerTest, UnclassifiedKeysFallBackToGraph) {
   EXPECT_EQ(st.counter("scheduler.batches_executed"), 81u);
 }
 
+TEST(EarlySchedulerTest, FallbackThreadsStartWithFirstUnclassifiedBatch) {
+  // Over a map that classifies every key the embedded graph engine never
+  // starts its threads, yet barriers, wait_idle() and stop() still work on
+  // it; the first unclassified batch brings them up.
+  SchedulerOptions cfg;
+  cfg.workers = 2;
+  cfg.fallback_workers = 3;
+  cfg.class_map = hot_range_map();
+  std::atomic<std::uint64_t> executed{0};
+  EarlyScheduler s(cfg, [&](const smr::Batch&) { executed.fetch_add(1); });
+  s.start();
+  std::uint64_t seq = 0;
+  for (smr::Key k = 0; k < 24; ++k) ASSERT_TRUE(s.deliver(make_batch(++seq, {k})));
+  s.drain_to_sequence(seq);
+  s.release_barrier();
+  s.wait_idle();
+  EXPECT_EQ(s.stats().gauge("early.fallback_threads"), 0.0);
+  ASSERT_TRUE(s.deliver(make_batch(++seq, {smr::Key{1} << 30})));  // unclassified
+  ASSERT_TRUE(s.deliver(make_batch(++seq, {5, smr::Key{1} << 31})));  // mixed
+  s.wait_idle();
+  const auto st = s.stats();
+  s.stop();
+  EXPECT_EQ(st.gauge("early.fallback_threads"), 3.0);
+  EXPECT_EQ(executed.load(), 26u);
+
+  // A uniform(S) scheduler stops cleanly with its engine never started.
+  SchedulerOptions uniform_cfg;
+  uniform_cfg.workers = 2;
+  EarlyScheduler u(uniform_cfg, [](const smr::Batch&) {});
+  u.start();
+  for (std::uint64_t i = 1; i <= 10; ++i) ASSERT_TRUE(u.deliver(make_batch(i, {i})));
+  u.drain_to_sequence(10);
+  u.release_barrier();
+  u.wait_idle();
+  EXPECT_EQ(u.stats().gauge("early.fallback_threads"), 0.0);
+  u.stop();
+}
+
 TEST(EarlySchedulerTest, FastPathFractionAndQueueDepths) {
   SchedulerOptions cfg;
   cfg.workers = 2;

@@ -1,9 +1,11 @@
 // Property tests for the inverted-index insert path (IndexMode::kIndexed):
 // whatever the conflict mode and operation mix, the indexed graph must be
 // EDGE-IDENTICAL to the paper's full scan at every step — the index is a
-// pure lookup optimization, so any divergence is a determinism bug. Also
-// proves the layered no-false-negative guarantee: bitmap-mode graphs always
-// contain at least the edges exact key analysis would add.
+// pure lookup optimization, so any divergence is a determinism bug. (The
+// index serves the key modes; bitmap-mode graphs scan under either
+// setting, and the bitmap rows keep that so.) Also proves the layered
+// no-false-negative guarantee: bitmap-mode graphs always contain at least
+// the edges exact key analysis would add.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,7 +45,7 @@ smr::BatchPtr random_batch(util::Xoshiro256& rng, std::uint64_t seq,
   }
   auto b = std::make_shared<smr::Batch>(std::move(cmds));
   b->set_sequence(seq);
-  if (mode == ConflictMode::kBitmap || mode == ConflictMode::kBitmapSparse) {
+  if (mode == ConflictMode::kBitmap) {
     smr::BitmapConfig cfg;
     cfg.bits = wl.bitmap_bits;
     cfg.split_read_write = wl.split_read_write;
@@ -129,45 +131,57 @@ void run_lockstep(ConflictMode mode, const WorkloadConfig& wl, std::uint64_t see
   EXPECT_TRUE(scanned.empty());
 }
 
-class GraphIndexProperty : public ::testing::TestWithParam<ConflictMode> {};
+class GraphIndexProperty : public ::testing::TestWithParam<ConflictMode> {
+ protected:
+  /// The workload variants of the parameter's mode: bitmap digests run
+  /// both unified and split read/write.
+  std::vector<WorkloadConfig> workloads() const {
+    std::vector<WorkloadConfig> out(1);
+    if (GetParam() == ConflictMode::kBitmap) {
+      out.emplace_back().split_read_write = true;
+    }
+    return out;
+  }
+};
 
 TEST_P(GraphIndexProperty, EdgeIdenticalToScanUnderRandomSchedules) {
-  WorkloadConfig wl;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    run_lockstep(GetParam(), wl, seed, 300);
+  for (const WorkloadConfig& wl : workloads()) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      run_lockstep(GetParam(), wl, seed, 300);
+    }
   }
 }
 
 TEST_P(GraphIndexProperty, EdgeIdenticalOnConflictFreeDisjointKeys) {
   // Disjoint key ranges: the aggregate fast path should carry nearly every
   // insert; equivalence must still hold exactly.
-  WorkloadConfig wl;
-  wl.key_space = 1'000'000'000;  // collisions/conflicts effectively absent
-  wl.bitmap_bits = 1 << 16;
-  for (std::uint64_t seed = 21; seed <= 24; ++seed) {
-    run_lockstep(GetParam(), wl, seed, 300);
+  for (WorkloadConfig wl : workloads()) {
+    wl.key_space = 1'000'000'000;  // collisions/conflicts effectively absent
+    wl.bitmap_bits = 1 << 16;
+    for (std::uint64_t seed = 21; seed <= 24; ++seed) {
+      run_lockstep(GetParam(), wl, seed, 300);
+    }
   }
 }
 
 TEST_P(GraphIndexProperty, EdgeIdenticalUnderHeavyConflicts) {
-  WorkloadConfig wl;
-  wl.key_space = 4;  // almost everything chains
-  for (std::uint64_t seed = 31; seed <= 34; ++seed) {
-    run_lockstep(GetParam(), wl, seed, 200);
+  for (WorkloadConfig wl : workloads()) {
+    wl.key_space = 4;  // almost everything chains
+    for (std::uint64_t seed = 31; seed <= 34; ++seed) {
+      run_lockstep(GetParam(), wl, seed, 200);
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, GraphIndexProperty,
                          ::testing::Values(ConflictMode::kKeysNested,
                                            ConflictMode::kKeysHashed,
-                                           ConflictMode::kBitmap,
-                                           ConflictMode::kBitmapSparse),
+                                           ConflictMode::kBitmap),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case ConflictMode::kKeysNested: return "KeysNested";
                              case ConflictMode::kKeysHashed: return "KeysHashed";
                              case ConflictMode::kBitmap: return "Bitmap";
-                             case ConflictMode::kBitmapSparse: return "BitmapSparse";
                            }
                            return "Unknown";
                          });
@@ -175,8 +189,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, GraphIndexProperty,
 TEST(GraphIndexProperty, RemoveNewestKeepsIndexInSync) {
   // Dedicated remove_newest schedule: insert a probe, detach it, repeat —
   // the microbenchmark's cycle — against residents that stay put.
-  for (ConflictMode mode : {ConflictMode::kKeysNested, ConflictMode::kBitmap,
-                            ConflictMode::kBitmapSparse}) {
+  for (ConflictMode mode : {ConflictMode::kKeysNested, ConflictMode::kKeysHashed,
+                            ConflictMode::kBitmap}) {
     WorkloadConfig wl;
     wl.key_space = 32;
     DependencyGraph indexed(mode, IndexMode::kIndexed);
@@ -217,42 +231,42 @@ TEST(GraphIndexProperty, BitmapModesNeverMissKeyModeConflicts) {
   for (std::uint64_t seed = 51; seed <= 56; ++seed) {
     util::Xoshiro256 rng(seed);
     DependencyGraph exact(ConflictMode::kKeysNested, IndexMode::kScan);
-    DependencyGraph dense_idx(ConflictMode::kBitmap, IndexMode::kIndexed);
-    DependencyGraph sparse_idx(ConflictMode::kBitmapSparse, IndexMode::kIndexed);
+    DependencyGraph bitmap_idx(ConflictMode::kBitmap, IndexMode::kIndexed);
+    DependencyGraph bitmap_scan(ConflictMode::kBitmap, IndexMode::kScan);
     for (std::uint64_t s = 1; s <= 40; ++s) {
       const auto b = random_batch(rng, s, ConflictMode::kBitmap, wl);
       exact.insert(b);
-      dense_idx.insert(b);
-      sparse_idx.insert(b);
+      bitmap_idx.insert(b);
+      bitmap_scan.insert(b);
     }
     const Edges exact_edges = exact.edges();
-    const Edges dense_edges = dense_idx.edges();
-    const Edges sparse_edges = sparse_idx.edges();
-    EXPECT_EQ(dense_edges, sparse_edges);  // identical answers by design
+    const Edges bitmap_edges = bitmap_idx.edges();
+    EXPECT_EQ(bitmap_edges, bitmap_scan.edges());
     for (const auto& e : exact_edges) {
-      EXPECT_TRUE(std::find(dense_edges.begin(), dense_edges.end(), e) !=
-                  dense_edges.end())
+      EXPECT_TRUE(std::find(bitmap_edges.begin(), bitmap_edges.end(), e) !=
+                  bitmap_edges.end())
           << "bitmap mode missed exact conflict " << e.first << "->" << e.second;
     }
   }
 }
 
 TEST(GraphIndexProperty, AutoDegradesToScanOnSplitDigests) {
-  // Split read/write digests carry no position list; a kIndexed graph must
-  // permanently fall back to scanning and still match the scan graph.
+  // Bitmap-mode graphs keep no index: a kIndexed graph over split
+  // read/write digests runs the paper's scan — no probes, no posting
+  // lists — and matches the kScan graph edge for edge.
   WorkloadConfig wl;
   wl.split_read_write = true;
   DependencyGraph auto_graph(ConflictMode::kBitmap, IndexMode::kIndexed);
   DependencyGraph scan_graph(ConflictMode::kBitmap, IndexMode::kScan);
   util::Xoshiro256 rng(99);
-  EXPECT_TRUE(auto_graph.index_active());
+  EXPECT_FALSE(auto_graph.index_active());
   for (std::uint64_t s = 1; s <= 30; ++s) {
     const auto b = random_batch(rng, s, ConflictMode::kBitmap, wl);
     auto_graph.insert(b);
     scan_graph.insert(b);
   }
-  EXPECT_FALSE(auto_graph.index_active());
-  EXPECT_TRUE(auto_graph.index_stats().fell_back_to_scan);
+  EXPECT_EQ(auto_graph.index_stats().probes, 0u);
+  EXPECT_EQ(auto_graph.conflict_stats().tests, scan_graph.conflict_stats().tests);
   EXPECT_EQ(auto_graph.edges(), scan_graph.edges());
   auto_graph.check_invariants();
 }

@@ -472,31 +472,34 @@ TEST(Scheduler, ReadOnlyBatchesSerializeUnderUnifiedBitmap) {
   EXPECT_EQ(max_concurrent.load(), 1);
 }
 
-TEST(Scheduler, DenseAndSparseBitmapModesProduceIdenticalStates) {
-  // kBitmapSparse must be a pure performance substitution: identical final
-  // per-key write orders for the same delivery sequence.
+TEST(Scheduler, SplitAndUnifiedBitmapDigestsProduceIdenticalStates) {
+  // On an all-update stream the split digest's write list is the unified
+  // digest: identical final per-key write orders for the same delivery
+  // sequence, through the merge test in both cases.
   util::Xoshiro256 rng(555);
-  smr::BitmapConfig bcfg;
-  bcfg.bits = 4096;  // small: plenty of false positives to agree on
-  std::vector<smr::BatchPtr> batches;
-  for (std::uint64_t seq = 1; seq <= 300; ++seq) {
-    std::vector<smr::Key> keys;
-    for (int i = 0; i < 6; ++i) keys.push_back(rng.next_below(64));
-    batches.push_back(make_batch(seq, std::move(keys), &bcfg));
+  smr::BitmapConfig unified;
+  unified.bits = 4096;  // small: plenty of false positives to agree on
+  smr::BitmapConfig split = unified;
+  split.split_read_write = true;
+  std::vector<std::vector<smr::Key>> keys(300);
+  for (auto& k : keys) {
+    for (int i = 0; i < 6; ++i) k.push_back(rng.next_below(64));
   }
-  auto run = [&](ConflictMode mode) {
+  auto run = [&](const smr::BitmapConfig& bcfg) {
     VersionRecorder rec;
     SchedulerOptions cfg;
     cfg.workers = 8;
-    cfg.mode = mode;
+    cfg.mode = ConflictMode::kBitmap;
     Scheduler s(cfg, [&](const smr::Batch& b) { rec.apply(b); });
     s.start();
-    for (const auto& b : batches) s.deliver(b);
+    for (std::uint64_t seq = 1; seq <= keys.size(); ++seq) {
+      s.deliver(make_batch(seq, keys[seq - 1], &bcfg));
+    }
     s.wait_idle();
     s.stop();
     return rec.take();
   };
-  EXPECT_EQ(run(ConflictMode::kBitmap), run(ConflictMode::kBitmapSparse));
+  EXPECT_EQ(run(unified), run(split));
 }
 
 TEST(Scheduler, BackpressuredDeliverReturnsFalseOnStop) {

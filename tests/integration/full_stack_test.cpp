@@ -127,9 +127,10 @@ TEST(FullStack, TwoReplicasConvergeOverPaxos) {
 
 TEST(FullStack, ThreeReplicasThreeProxiesKeyMode) {
   Deployment d(3, core::ConflictMode::kKeysNested);
-  util::Xoshiro256 rng(2);
   for (int p = 0; p < 3; ++p) {
-    d.add_proxy(10, /*use_bitmap=*/false, [&rng](std::uint64_t, std::uint64_t) {
+    // One generator per proxy: each proxy thread calls its own.
+    util::Xoshiro256 rng(2 + static_cast<std::uint64_t>(p));
+    d.add_proxy(10, /*use_bitmap=*/false, [rng](std::uint64_t, std::uint64_t) mutable {
       smr::Command c;
       c.type = smr::OpType::kUpdate;
       c.key = rng.next_below(100);  // plenty of cross-proxy conflicts

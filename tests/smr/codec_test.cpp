@@ -53,7 +53,9 @@ TEST(Codec, DigestRebuiltBitIdentical) {
   const auto decoded = decode_batch(encode_batch(original), cfg);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_TRUE(decoded->has_bitmap());
-  EXPECT_EQ(decoded->write_bloom().bitmap(), original.write_bloom().bitmap());
+  EXPECT_EQ(decoded->write_positions(), original.write_positions());
+  EXPECT_EQ(decoded->read_positions(), original.read_positions());
+  EXPECT_EQ(decoded->bitmap_config(), original.bitmap_config());
 }
 
 TEST(Codec, NoBitmapStaysAbsent) {

@@ -62,7 +62,8 @@ TEST_F(TraceTest, RoundTripPreservesBatches) {
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(batch->commands()[i], expected.commands()[i]);
     }
-    EXPECT_EQ(batch->write_bloom().bitmap(), expected.write_bloom().bitmap());
+    EXPECT_EQ(batch->write_positions(), expected.write_positions());
+    EXPECT_EQ(batch->read_positions(), expected.read_positions());
   }
   EXPECT_FALSE(reader.next().has_value());  // clean EOF
 }
