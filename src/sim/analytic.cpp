@@ -25,4 +25,11 @@ double conflict_rate(std::size_t bitmap_bits, std::size_t batch_size, std::size_
   return -std::expm1(g * std::log1p(-q));
 }
 
+double query_fp_rate(std::size_t bitmap_bits, unsigned hashes, std::size_t n_keys) {
+  const double m = static_cast<double>(bitmap_bits);
+  const double k = static_cast<double>(hashes);
+  const double n = static_cast<double>(n_keys);
+  return std::pow(1.0 - std::exp(-k * n / m), k);
+}
+
 }  // namespace psmr::sim

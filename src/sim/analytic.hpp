@@ -29,4 +29,8 @@ double pairwise_conflict_probability(std::size_t bitmap_bits, std::size_t batch_
 /// `graph_size` pending batches — the quantity reported in Table I.
 double conflict_rate(std::size_t bitmap_bits, std::size_t batch_size, std::size_t graph_size);
 
+/// Expected false-positive probability of a membership query against an
+/// m-bit, k-hash Bloom filter holding n keys: (1 - e^{-kn/m})^k.
+double query_fp_rate(std::size_t bitmap_bits, unsigned hashes, std::size_t n_keys);
+
 }  // namespace psmr::sim

@@ -2,19 +2,20 @@
 
 #include <vector>
 
+#include "smr/batch.hpp"
 #include "util/assert.hpp"
 #include "util/bitmap.hpp"
-#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace psmr::sim {
 
 ConflictSimResult run_conflict_sim(const ConflictSimConfig& cfg) {
-  PSMR_CHECK(cfg.bitmap_bits > 0);
+  PSMR_CHECK(cfg.bitmap_bits > 0 && cfg.bitmap_bits <= (std::uint64_t{1} << 32));
   PSMR_CHECK(cfg.batch_size > 0);
   PSMR_CHECK(cfg.hashes >= 1);
 
   util::Xoshiro256 rng(cfg.seed);
+  const smr::BitmapConfig digest{.bits = cfg.bitmap_bits, .hashes = cfg.hashes};
 
   // Sliding window of G pending-batch bitmaps. Each slot also remembers its
   // set positions so eviction clears O(n·k) bits instead of O(m).
@@ -39,8 +40,7 @@ ConflictSimResult run_conflict_sim(const ConflictSimConfig& cfg) {
     for (std::uint64_t c = 0; c < cfg.batch_size; ++c) {
       const std::uint64_t key = rng.next_below(cfg.key_space);
       for (unsigned h = 0; h < cfg.hashes; ++h) {
-        incoming.push_back(static_cast<std::size_t>(
-            util::reduce_range(util::mix64(key, h), cfg.bitmap_bits)));
+        incoming.push_back(smr::bloom_position(key, h, digest));
       }
     }
 

@@ -15,8 +15,9 @@
 // Implementation note: testing whether an incoming batch's bitmap
 // intersects a stored bitmap is done by probing the incoming batch's ≤ n
 // set positions against the stored bit array — mathematically identical to
-// the word-wise AND the scheduler performs, but O(n) instead of O(m) per
-// pair, which keeps the 10^6-iteration runs fast.
+// the paper's word-wise AND (and to the scheduler's position merge), but
+// O(n) instead of O(m) per pair, which keeps the 10^6-iteration runs fast.
+// Positions come from smr::bloom_position with seed 0.
 #pragma once
 
 #include <cstdint>
